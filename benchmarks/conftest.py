@@ -85,7 +85,6 @@ def bench_runner() -> ExperimentRunner:
     runner = ExperimentRunner(
         jobs=BENCH_JOBS,
         cache_dir=BENCH_CACHE_DIR if BENCH_CACHE else None,
-        use_cache=BENCH_CACHE,
     )
     yield runner
     print(f"\n[bench runner] {runner.stats.summary()}")

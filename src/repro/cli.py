@@ -10,15 +10,16 @@ Examples::
     python -m repro table1
 
 Exit status is 0 on success; configuration errors print to stderr and
-exit 2 (argparse semantics); an interrupted sweep (Ctrl-C) flushes its
-partial results and exits 130.
+exit 2 (argparse semantics); an interrupted sweep (Ctrl-C) exits 130,
+and rerunning it against the same result cache resumes it.
 
 The ``alloc``, ``perf``, and ``compare`` commands accept ``--jobs`` (fan
 independent sweep points across worker processes), ``--cache-dir``
 (result cache location, default ``~/.cache/repro`` or $REPRO_CACHE_DIR),
-and ``--no-cache``.  Progress and a runner summary line ("N executed,
-M cached, ...") go to stderr, so stdout stays byte-identical whatever
-the jobs count or cache state.
+and ``--no-cache``.  Every finished point is stored in the cache as it
+completes, so the cache is also the resume record of a sweep.  Progress
+and a runner summary line ("N executed, M cached, ...") go to stderr, so
+stdout stays byte-identical whatever the jobs count or cache state.
 """
 
 from __future__ import annotations
@@ -123,12 +124,9 @@ def make_runner(args: argparse.Namespace) -> ExperimentRunner:
     return ExperimentRunner(
         jobs=args.jobs,
         cache_dir=cache_dir,
-        use_cache=not args.no_cache,
         progress=progress,
         timeout_s=getattr(args, "timeout", None),
         retries=getattr(args, "retries", 0),
-        checkpoint_dir=getattr(args, "checkpoint", None),
-        resume=getattr(args, "resume", False),
         telemetry=view.on_frame if view is not None else None,
     )
 
@@ -626,7 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for independent sweep points "
                             "(0 = one per CPU; results are identical to --jobs 1)")
         p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result cache directory "
+                       help="result cache directory; rerunning an "
+                            "interrupted sweep against it resumes the sweep "
                             f"(default: {default_cache_dir()})")
         p.add_argument("--no-cache", action="store_true",
                        help="always simulate; neither read nor write the cache")
@@ -637,12 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--retries", type=int, default=0, metavar="N",
                        help="extra attempts after a worker crash or timeout "
                             "(exponential backoff with seeded jitter)")
-        p.add_argument("--checkpoint", default=None, metavar="DIR",
-                       help="flush each completed point to DIR so an "
-                            "interrupted sweep can be resumed")
-        p.add_argument("--resume", action="store_true",
-                       help="replay points already completed in the "
-                            "--checkpoint directory instead of re-running")
         p.add_argument("--live", action="store_true",
                        help="render a live telemetry status line on stderr "
                             "(per-point stage/progress/ETA; stdout is "
@@ -863,10 +856,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SweepInterrupted as interrupted:
-        where = interrupted.partial_dir or "the result cache"
+        where = interrupted.partial_dir
+        saved = (
+            f"partial results flushed to {where}; rerun with "
+            f"--cache-dir {where} to resume"
+            if where is not None
+            else "nothing was persisted (caching is off)"
+        )
         print(
             f"repro: interrupted ({interrupted.completed}/{interrupted.total} "
-            f"points done) — partial results flushed to {where}",
+            f"points done) — {saved}",
             file=sys.stderr,
         )
         return 130

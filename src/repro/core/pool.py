@@ -3,9 +3,9 @@
 ``concurrent.futures.ProcessPoolExecutor`` cannot kill an individual
 worker (a hung task hangs the sweep) and a worker that dies abruptly
 poisons the whole pool (``BrokenProcessPool`` loses every in-flight
-task).  Long sweeps — and the long-running experiment service built on
-top of them — need stronger guarantees, so this module manages its own
-``spawn`` processes over pipes, split into two layers:
+task).  Long sweeps — and the long-running experiment service — need
+stronger guarantees, so this module manages its own ``spawn`` processes
+over pipes, split into two layers:
 
 * :class:`WorkerCrew` — **process management only**.  Spawns workers,
   ships assignments over pipes, collects results and progress frames,
@@ -19,8 +19,10 @@ top of them — need stronger guarantees, so this module manages its own
   at any time), which is what lets a network service pour requests into
   the same machinery a local sweep uses.
 
-:class:`SupervisedPool` composes the two behind the original one-shot
-``run(items)`` API and keeps its guarantees:
+Both :class:`~repro.core.runner.ExperimentRunner` (a one-shot sweep: add
+every task, step until nothing is outstanding) and
+:class:`~repro.serve.service.ExperimentService` (a feed that never ends)
+drive a crew through a scheduler.  Together they guarantee:
 
 * **Wall-clock timeouts** — a task that exceeds ``timeout_s`` has its
   worker killed and is retried or reported, while sibling tasks keep
@@ -35,9 +37,10 @@ top of them — need stronger guarantees, so this module manages its own
   simulation is deterministic, so a failing configuration fails
   identically every time — those travel back as structured errors.
 
-Results are yielded as ``(index, task, (status, payload, elapsed_s))``
-in completion order; the caller reorders by index, which keeps parallel
-sweeps bit-identical to serial ones regardless of scheduling.
+:meth:`TaskScheduler.step` returns ``(index, payload, (status, result,
+elapsed_s))`` in completion order; the caller reorders by index, which
+keeps parallel sweeps bit-identical to serial ones regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable
 
 from ..errors import ConfigurationError
 from ..sim.rng import RandomStream
@@ -170,9 +173,8 @@ class WorkerCrew:
     The crew knows nothing about queues, priorities, or retry policy —
     it accepts one assignment per idle worker, reports
     :class:`CrewEvent`s from :meth:`poll`, and keeps its worker count
-    stable by replacing the dead.  Both the one-shot
-    :class:`SupervisedPool` and the long-running experiment service
-    drive the same crew.
+    stable by replacing the dead.  Local sweeps and the long-running
+    experiment service drive the same crew.
 
     Args:
         work_fn: picklable callable applied to each assignment payload
@@ -569,78 +571,3 @@ class TaskScheduler:
             ),
         )
 
-
-class SupervisedPool:
-    """Run tasks on supervised spawn workers; survive hangs and crashes.
-
-    A thin one-shot facade over :class:`WorkerCrew` +
-    :class:`TaskScheduler` preserving the original API: construct, call
-    :meth:`run` once with every item, iterate outcomes.
-
-    Args:
-        work_fn: picklable callable applied to each task payload in a
-            worker; its return value travels back verbatim.
-        n_workers: worker process count (capped at the task count).
-        timeout_s: per-attempt wall-clock budget; ``None`` disables.
-        retries: extra attempts granted after a crash or timeout.
-        backoff_base_s: first retry delay; doubles per attempt.
-        jitter_seed: seeds the deterministic backoff jitter.
-        telemetry: optional ``(task index, frame)`` callback for the
-            progress frames workers stream alongside their results.
-    """
-
-    def __init__(
-        self,
-        work_fn: Callable[[Any], Any],
-        n_workers: int,
-        timeout_s: float | None = None,
-        retries: int = 0,
-        backoff_base_s: float = 0.5,
-        jitter_seed: int = 0,
-        telemetry: Callable[[int, dict], None] | None = None,
-    ) -> None:
-        if n_workers < 1:
-            raise ConfigurationError(f"need at least one worker: {n_workers}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ConfigurationError(f"timeout must be positive: {timeout_s}")
-        if retries < 0:
-            raise ConfigurationError(f"retries must be >= 0: {retries}")
-        self.work_fn = work_fn
-        self.n_workers = n_workers
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_base_s = backoff_base_s
-        self.jitter_seed = jitter_seed
-        self.telemetry = telemetry
-        self.stats = PoolStats()
-
-    def run(
-        self, items: Sequence[tuple[int, Any]]
-    ) -> Iterator[tuple[int, Any, tuple[str, Any, float]]]:
-        """Execute ``(index, payload)`` items; yield outcomes as they land.
-
-        Outcome statuses mirror the runner's worker protocol: ``"ok"``
-        carries the work function's return value, ``"error"`` carries a
-        human-readable failure description (task exception traceback,
-        crash report, or timeout report).
-        """
-        crew = WorkerCrew(
-            self.work_fn,
-            timeout_s=self.timeout_s,
-            telemetry=self.telemetry,
-            stats=self.stats,
-        )
-        scheduler = TaskScheduler(
-            crew,
-            retries=self.retries,
-            backoff_base_s=self.backoff_base_s,
-            jitter_seed=self.jitter_seed,
-        )
-        for index, payload in items:
-            scheduler.add(index, payload)
-        try:
-            crew.ensure_workers(min(self.n_workers, scheduler.outstanding))
-            while scheduler.outstanding > 0:
-                yield from scheduler.step()
-        finally:
-            crew.shutdown()

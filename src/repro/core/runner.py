@@ -11,19 +11,26 @@ module exploits that:
   derives a stable content hash from it.
 * :class:`ResultCache` persists finished results on disk under that
   hash, so re-running a figure replays cached points instantly.
-* :class:`ExperimentRunner` fans pending tasks across a supervised
-  ``spawn`` worker pool (:mod:`repro.core.pool`), reports per-point
-  timing through an optional progress callback, and routes per-point
-  failures into a structured :class:`PointOutcome.error` channel instead
-  of letting one diverging configuration kill the whole sweep.
+* :class:`ExperimentRunner` fans pending tasks across supervised
+  ``spawn`` workers (a :class:`~repro.core.pool.WorkerCrew` driven by a
+  :class:`~repro.core.pool.TaskScheduler`, the same core the experiment
+  service runs on), reports per-point timing through an optional
+  progress callback, and routes per-point failures into a structured
+  :class:`PointOutcome.error` channel instead of letting one diverging
+  configuration kill the whole sweep.
+* :func:`execute_task` is the one worker function: local sweeps (inline
+  or pooled) and the service's workers all run points through it.
 
 Supervision (all opt-in, all deterministic): per-task wall-clock
 timeouts, bounded retry with seeded exponential backoff for crashed or
-timed-out workers, checkpoint/resume of sweeps through
-:class:`~repro.core.checkpoint.SweepCheckpoint`, and a graceful
-``KeyboardInterrupt`` path that flushes partial results and raises
+timed-out workers, and a graceful ``KeyboardInterrupt`` path that raises
 :class:`~repro.errors.SweepInterrupted` for the CLI to turn into exit
 code 130.
+
+The result cache doubles as the sweep's resume record: every finished
+point is fsynced into it before the progress callback sees it, so
+rerunning an interrupted sweep against the same cache directory replays
+exactly the points that finished and runs only the rest.
 
 ``jobs=1`` (the default) executes inline in the calling process — no
 pool, no pickling — and is the reference behavior: parallel execution is
@@ -54,10 +61,9 @@ from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError, ExperimentError, SweepInterrupted
 from ..obs.telemetry import install_emitter, uninstall_emitter
-from .checkpoint import SweepCheckpoint
 from .configs import ExperimentConfig
 from .experiments import run_allocation_experiment, run_performance_experiment
-from .pool import SupervisedPool
+from .pool import TaskScheduler, WorkerCrew
 
 #: Bump when result dataclasses or experiment semantics change shape;
 #: old cache entries then miss instead of deserializing stale science.
@@ -175,16 +181,40 @@ def _freeze_kwargs(kwargs: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
 _CACHE_MAGIC = b"RPRC2\n"
 
 #: Per-process serial for temp-file names: two threads of one process
-#: storing the same key concurrently must never share a temp path.
+#: writing the same path concurrently must never share a temp path.
 _TEMP_SERIAL = itertools.count()
+
+
+def atomic_write(path: Path, *chunks: bytes) -> None:
+    """Replace ``path`` with ``chunks`` so no reader sees a torn file.
+
+    Safe under concurrent writers: every writer gets a temp name unique
+    by pid and per-process serial (pid alone is not enough — the
+    experiment service races threads of one process on the same key).
+    The data is fsynced before the atomic rename, so a reader — or a
+    crash at any instant — sees either the old complete file or the new
+    complete one.  The temp file never outlives the call, even when the
+    write or the rename fails.
+    """
+    temp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            temp.unlink()
 
 
 class ResultCache:
     """Pickle-per-key result store with atomic, checksummed writes.
 
-    Entries are written to a temp file and ``os.replace``d into place, so
-    readers never observe a half-written entry; each entry carries a
-    SHA-256 of its payload, verified on every load.  Corrupt, truncated,
+    Entries land through :func:`atomic_write`, so readers never observe
+    a half-written entry; each entry carries a SHA-256 of its payload,
+    verified on every load.  Corrupt, truncated,
     or tampered entries are treated as misses — and *evicted*, so a bad
     entry costs one recompute instead of a validation failure on every
     subsequent run.  The cache is an accelerator, not a source of truth.
@@ -244,33 +274,12 @@ class ResultCache:
         )
 
     def store(self, key: str, result: Any) -> None:
-        """Persist ``result`` under ``key`` (atomic rename, last wins).
-
-        Safe under concurrent writers: every writer gets a unique temp
-        file (pid alone is not enough — the experiment service races
-        multiple threads of one process on the same key), the payload is
-        fsynced before the rename, and ``os.replace`` is atomic, so a
-        reader (or a crash at any instant) sees either the old complete
-        entry or the new complete entry, never a torn one.
-        """
+        """Persist ``result`` under ``key`` (atomic and fsynced, last
+        writer wins; see :func:`atomic_write`)."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        final = self.path(key)
-        temp = final.with_name(
-            f"{final.name}.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp"
-        )
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest().encode()
-        try:
-            with open(temp, "wb") as handle:
-                handle.write(_CACHE_MAGIC)
-                handle.write(digest)
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, final)
-        finally:
-            with contextlib.suppress(OSError):
-                temp.unlink()
+        atomic_write(self.path(key), _CACHE_MAGIC, digest, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +335,26 @@ class RunnerStats:
 ProgressCallback = Callable[[PointOutcome, int, int], None]
 
 
-def _worker(task: ExperimentTask) -> tuple[str, Any, float]:
+def execute_task(task: ExperimentTask) -> tuple[str, Any, float]:
     """Execute one task; never raise — failures travel as data.
 
-    Runs in worker processes (spawn) and inline for ``jobs=1``; both
-    paths share it so serial and parallel execution are identical.
+    Returns ``("ok", result, elapsed_s)``, or ``("task-error",
+    traceback, elapsed_s)`` when the experiment itself raised.  A task
+    error is deterministic — the same configuration fails the same way
+    every time — so it is never retried; that sets it apart from the
+    scheduler's own ``"error"`` outcome (worker crash or timeout with
+    retries exhausted).
+
+    Runs in spawned workers for pooled sweeps and for the experiment
+    service, and inline for ``jobs=1``; every path shares it so serial
+    and parallel execution are identical.
     """
     start = time.perf_counter()
     try:
         result = task.execute()
         return ("ok", result, time.perf_counter() - start)
     except Exception:  # noqa: BLE001 - structured failure channel
-        return ("error", traceback.format_exc(), time.perf_counter() - start)
+        return ("task-error", traceback.format_exc(), time.perf_counter() - start)
 
 
 class ExperimentRunner:
@@ -347,7 +364,9 @@ class ExperimentRunner:
         jobs: worker processes.  1 (default) runs inline in this process;
             ``None`` or 0 means one per CPU.
         cache_dir: result cache directory; ``None`` disables caching.
-        use_cache: master switch — False ignores ``cache_dir`` entirely.
+            It is also the sweep's resume record: rerun an interrupted
+            sweep against the same directory and only unfinished points
+            execute.
         progress: optional per-point completion callback.
         timeout_s: per-task wall-clock budget.  A task over budget has
             its worker killed (and retried if ``retries`` allows); a
@@ -357,10 +376,6 @@ class ExperimentRunner:
             configuration fails the same way every time.
         backoff_base_s: first retry delay; doubles per attempt, plus
             seeded jitter.
-        checkpoint_dir: sweep checkpoint directory; every completed
-            point is flushed there so an interrupted sweep can resume.
-        resume: replay completed points from ``checkpoint_dir`` instead
-            of re-running them.
         telemetry: optional live-progress callback ``(task index,
             frame)``; frames come from running experiments (see
             :mod:`repro.obs.telemetry`), streamed over the supervision
@@ -372,13 +387,10 @@ class ExperimentRunner:
         self,
         jobs: int | None = 1,
         cache_dir: str | Path | None = None,
-        use_cache: bool = True,
         progress: ProgressCallback | None = None,
         timeout_s: float | None = None,
         retries: int = 0,
         backoff_base_s: float = 0.5,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
         telemetry: Callable[[int, dict], None] | None = None,
     ) -> None:
         if jobs is not None and jobs < 0:
@@ -389,18 +401,12 @@ class ExperimentRunner:
             raise ConfigurationError(f"timeout must be positive: {timeout_s}")
         if retries < 0:
             raise ConfigurationError(f"retries must be >= 0: {retries}")
-        if resume and not checkpoint_dir:
-            raise ConfigurationError("resume requires a checkpoint directory")
         self.jobs = jobs
-        self.cache = ResultCache(cache_dir) if (use_cache and cache_dir) else None
+        self.cache = ResultCache(cache_dir) if cache_dir else None
         self.progress = progress
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_base_s = backoff_base_s
-        self.checkpoint = (
-            SweepCheckpoint(checkpoint_dir) if checkpoint_dir else None
-        )
-        self.resume = resume
         self.telemetry = telemetry
         self.stats = RunnerStats()
 
@@ -409,40 +415,31 @@ class ExperimentRunner:
     def run(self, tasks: Sequence[ExperimentTask]) -> list[PointOutcome]:
         """Execute every task; return outcomes in submission order.
 
-        Cached and checkpointed points are replayed without executing;
-        pending points fan across the supervised pool (or run inline for
-        ``jobs=1`` with no timeout).  A failing point yields an outcome
-        with ``error`` set — it never raises here and never interrupts
-        sibling points.
+        Cached points are replayed without executing; pending points fan
+        across the supervised workers (or run inline for ``jobs=1`` with
+        no timeout).  A failing point yields an outcome with ``error``
+        set — it never raises here and never interrupts sibling points.
 
         Raises:
-            SweepInterrupted: on ``KeyboardInterrupt``.  Results already
-                computed are in the cache and checkpoint (both are
-                flushed point by point); the exception names the
-                directory holding the partial results.
+            SweepInterrupted: on ``KeyboardInterrupt``.  Every point
+                finished so far is already in the result cache (stored
+                point by point); the exception names the cache directory,
+                or ``None`` when caching is off and nothing was kept.
         """
         started = time.perf_counter()
         outcomes: list[PointOutcome | None] = [None] * len(tasks)
         pending: list[tuple[int, ExperimentTask]] = []
         total = len(tasks)
         completed = 0
-        if self.checkpoint is not None:
-            self.checkpoint.begin(total, self.resume)
 
         for index, task in enumerate(tasks):
-            cached = None
-            if self.checkpoint is not None and self.resume:
-                cached = self.checkpoint.result_for(task.cache_key)
-            if cached is None and self.cache:
-                cached = self.cache.load(task.cache_key)
+            cached = self.cache.load(task.cache_key) if self.cache else None
             if cached is not None:
                 outcomes[index] = PointOutcome(
                     index, task, cached, from_cache=True
                 )
                 self.stats.cached += 1
                 completed += 1
-                if self.checkpoint is not None:
-                    self.checkpoint.record(task.cache_key, cached)
                 self._report(outcomes[index], completed, total)
             else:
                 pending.append((index, task))
@@ -450,18 +447,9 @@ class ExperimentRunner:
         use_pool = bool(pending) and (
             (self.jobs > 1 and len(pending) > 1) or self.timeout_s is not None
         )
-        if use_pool:
-            pool = SupervisedPool(
-                _worker,
-                n_workers=min(self.jobs, len(pending)),
-                timeout_s=self.timeout_s,
-                retries=self.retries,
-                backoff_base_s=self.backoff_base_s,
-                telemetry=self.telemetry,
-            )
-            finished = pool.run(pending)
-        else:
-            finished = self._run_inline(pending)
+        finished = (
+            self._run_pooled(pending) if use_pool else self._run_inline(pending)
+        )
 
         try:
             for index, task, (status, payload, elapsed) in finished:
@@ -470,8 +458,6 @@ class ExperimentRunner:
                     self.stats.executed += 1
                     if self.cache:
                         self.cache.store(task.cache_key, payload)
-                    if self.checkpoint is not None:
-                        self.checkpoint.record(task.cache_key, payload)
                 else:
                     outcome = PointOutcome(
                         index, task, None, error=payload, elapsed_s=elapsed
@@ -481,23 +467,17 @@ class ExperimentRunner:
                 completed += 1
                 self._report(outcome, completed, total)
         except KeyboardInterrupt:
-            # Flush what we have and report how far we got; the CLI maps
-            # this to the conventional exit code 130.
-            if self.checkpoint is not None:
-                self.checkpoint.flush()
+            # Report how far we got; the CLI maps this to the
+            # conventional exit code 130.
             self.stats.elapsed_s += time.perf_counter() - started
-            partial_dir = (
-                self.checkpoint.directory
-                if self.checkpoint is not None
-                else (self.cache.directory if self.cache else None)
-            )
+            partial_dir = self.cache.directory if self.cache else None
             raise SweepInterrupted(partial_dir, completed, total) from None
         finally:
             # Any abnormal exit (interrupt, a failing progress callback,
-            # a cache-store error) must still tear the pool down: closing
-            # the generator runs its ``finally`` and reaps every spawned
-            # worker, so repeated in-process sweeps — the daemon's
-            # steady state — leak no child processes.
+            # a cache-store error) must still tear the workers down:
+            # closing the generator runs its ``finally`` and reaps every
+            # spawned worker, so repeated in-process sweeps leak no child
+            # processes.
             finished.close()
 
         self.stats.elapsed_s += time.perf_counter() - started
@@ -524,6 +504,29 @@ class ExperimentRunner:
 
     # -- internals ---------------------------------------------------------
 
+    def _run_pooled(self, pending):
+        """Execute pending tasks on a supervised crew of spawn workers.
+
+        Feeds every task to a :class:`~repro.core.pool.TaskScheduler`
+        and steps it until nothing is outstanding, yielding outcomes in
+        completion order.  The crew is shut down — every worker reaped —
+        however the generator exits, including an early ``close()``.
+        """
+        crew = WorkerCrew(
+            execute_task, timeout_s=self.timeout_s, telemetry=self.telemetry
+        )
+        scheduler = TaskScheduler(
+            crew, retries=self.retries, backoff_base_s=self.backoff_base_s
+        )
+        for index, task in pending:
+            scheduler.add(index, task)
+        try:
+            crew.ensure_workers(min(self.jobs, len(pending)))
+            while scheduler.outstanding > 0:
+                yield from scheduler.step()
+        finally:
+            crew.shutdown()
+
     def _run_inline(self, pending):
         """Execute pending tasks in this process, one at a time.
 
@@ -534,11 +537,11 @@ class ExperimentRunner:
         """
         for index, task in pending:
             if self.telemetry is None:
-                yield index, task, _worker(task)
+                yield index, task, execute_task(task)
                 continue
             install_emitter(lambda frame, _i=index: self.telemetry(_i, frame))
             try:
-                yield index, task, _worker(task)
+                yield index, task, execute_task(task)
             finally:
                 uninstall_emitter()
 

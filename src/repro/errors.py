@@ -98,12 +98,14 @@ class DataUnavailableError(ReproError):
 class SweepInterrupted(ReproError):
     """A sweep was interrupted (SIGINT) after partial completion.
 
-    Carries the checkpoint/partial-results location so the CLI can tell
-    the user where flushed state lives; maps to exit status 130.
+    Carries the result-cache directory so the CLI can tell the user
+    where the finished points live — rerunning the sweep against it
+    resumes where it stopped; maps to exit status 130.
 
     Attributes:
-        partial_dir: where partial results / the checkpoint manifest were
-            flushed, or ``None`` when nothing was persisted.
+        partial_dir: the result cache holding every point finished before
+            the interrupt, or ``None`` when caching was off and nothing
+            was persisted.
         completed: sweep points that finished before the interrupt.
         total: sweep points submitted.
     """

@@ -1,8 +1,9 @@
 """The resilient experiment service (``repro serve``).
 
 A long-running daemon that accepts experiment and sweep requests over
-HTTP/JSON and executes them on the same supervised worker machinery
-local sweeps use.  The package splits cleanly:
+HTTP/JSON and executes them on the same supervised worker machinery,
+and with the same worker function, that local sweeps use.  The package
+splits cleanly:
 
 * :mod:`~repro.serve.codec` — the JSON wire format for task specs
   (strict validation; the round trip preserves cache keys).
@@ -21,7 +22,6 @@ from .service import (
     ExperimentService,
     Job,
     ServiceStats,
-    execute_spec,
     result_digest,
     result_summary,
 )
@@ -33,7 +33,6 @@ __all__ = [
     "RunLedger",
     "ServeDaemon",
     "ServiceStats",
-    "execute_spec",
     "make_daemon",
     "result_digest",
     "result_summary",

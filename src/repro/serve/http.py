@@ -49,7 +49,14 @@ _SSE_KEEPALIVE_S = 10.0
 
 
 class ServeDaemon(ThreadingHTTPServer):
-    """The service's HTTP server: one handler thread per connection."""
+    """The service's HTTP server: one handler thread per connection.
+
+    The listen backlog is sized from the service: twice the sum of its
+    admission budget and its worker count.  A burst of connections then
+    waits in the kernel until the accept loop takes it, and overload is
+    answered by admission control (429 + Retry-After) instead of a TCP
+    reset from socketserver's default backlog of 5.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -61,6 +68,8 @@ class ServeDaemon(ThreadingHTTPServer):
         chaos: bool = False,
         quiet: bool = True,
     ) -> None:
+        # Read by server_activate(), which the base __init__ calls.
+        self.request_queue_size = 2 * (service.max_queue + service.workers)
         super().__init__(address, ServeHandler)
         self.service = service
         self.chaos = chaos

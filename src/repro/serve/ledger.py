@@ -1,9 +1,9 @@
 """Durable run ledger: the service's crash-recovery record.
 
-The ledger generalizes :class:`~repro.core.checkpoint.SweepCheckpoint`
-from "one sweep, one manifest" to "a long-running service, an unbounded
-request stream".  It is an append-only JSONL file in the service's state
-directory:
+The ledger is the service's only journal: it records work that was
+accepted but is not yet done.  Results themselves live in the result
+cache, keyed like every local sweep's.  The ledger is an append-only
+JSONL file in the service's state directory:
 
 * ``{"op": "accept", "key": K, "spec": {...}, "priority": P}`` — a
   request passed admission.  Written (and fsynced) *before* the job is
@@ -22,9 +22,9 @@ last complete record — losing at most the one record whose write was in
 flight, never corrupting the prefix.
 
 On every open the replayed state is compacted into a fresh ledger
-(atomic rename): completed work collapses to ``done`` stubs so the file
-stays proportional to history the service still needs, not to lifetime
-request count.
+(:func:`~repro.core.runner.atomic_write`): completed work collapses to
+``done`` stubs so the file stays proportional to history the service
+still needs, not to lifetime request count.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..core.runner import atomic_write
 from ..errors import ServiceError
 
 LEDGER_FORMAT = 1
@@ -86,25 +87,16 @@ class RunLedger:
         self, key: str, spec: dict, priority: int = 1, **extra: Any
     ) -> None:
         """Record an admitted request (durable before it may execute)."""
-        record = {"op": "accept", "key": key, "spec": spec, "priority": priority}
-        record.update(extra)
-        self._append(record)
+        self._append(_accept_line(key, spec, priority, extra))
 
     def done(self, key: str, error: str | None = None) -> None:
         """Record a completed (or deterministically failed) request."""
-        record: dict[str, Any] = {
-            "op": "done",
-            "key": key,
-            "status": "error" if error is not None else "ok",
-        }
-        if error is not None:
-            record["error"] = error
-        self._append(record)
+        self._append(_done_line(key, error))
 
-    def _append(self, record: dict) -> None:
+    def _append(self, line: str) -> None:
         if self._handle is None:
             raise ServiceError("ledger is not open")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -159,26 +151,24 @@ class RunLedger:
 
     def _compact(self, entries: dict[str, LedgerEntry]) -> None:
         """Rewrite the journal from replayed state (atomic + fsynced)."""
-        temp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        with open(temp, "w", encoding="utf-8") as handle:
-            for entry in entries.values():
-                record: dict[str, Any] = {
-                    "op": "accept",
-                    "key": entry.key,
-                    "spec": entry.spec,
-                    "priority": entry.priority,
-                }
-                record.update(entry.extra)
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                if entry.done:
-                    done: dict[str, Any] = {
-                        "op": "done",
-                        "key": entry.key,
-                        "status": "error" if entry.error is not None else "ok",
-                    }
-                    if entry.error is not None:
-                        done["error"] = entry.error
-                    handle.write(json.dumps(done, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.path)
+        lines = []
+        for entry in entries.values():
+            lines.append(
+                _accept_line(entry.key, entry.spec, entry.priority, entry.extra)
+            )
+            if entry.done:
+                lines.append(_done_line(entry.key, entry.error))
+        atomic_write(self.path, "".join(lines).encode("utf-8"))
+
+
+def _accept_line(key: str, spec: dict, priority: int, extra: dict) -> str:
+    record = {"op": "accept", "key": key, "spec": spec, "priority": priority}
+    record.update(extra)
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _done_line(key: str, error: str | None) -> str:
+    record = {"op": "done", "key": key, "status": "ok" if error is None else "error"}
+    if error is not None:
+        record["error"] = error
+    return json.dumps(record, sort_keys=True) + "\n"

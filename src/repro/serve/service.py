@@ -37,14 +37,13 @@ import itertools
 import queue
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from ..core.pool import PoolStats, TaskScheduler, WorkerCrew
-from ..core.runner import ResultCache, _canonical
-from ..errors import ServiceError, ServiceOverloaded
+from ..core.runner import ExperimentTask, ResultCache, _canonical, execute_task
+from ..errors import ReproError, ServiceError, ServiceOverloaded
 from .codec import spec_to_task, task_to_spec
 from .ledger import RunLedger
 
@@ -66,29 +65,13 @@ _DEFAULT_SERVICE_S = 5.0
 _SUBSCRIBER_QUEUE_FRAMES = 256
 
 
-def execute_spec(spec: dict) -> tuple[str, Any, float]:
-    """Run one task spec to completion; never raise.
-
-    The service's worker protocol distinguishes ``"task-error"`` (the
-    experiment itself raised — deterministic, so it is journaled as a
-    permanent failure and never retried) from the scheduler-synthesized
-    ``"error"`` (worker crash / timeout with retries exhausted — an
-    *environmental* failure, left un-journaled so a restart re-runs it).
-    """
-    start = time.perf_counter()
-    try:
-        result = spec_to_task(spec).execute()
-        return ("ok", result, time.perf_counter() - start)
-    except Exception:  # noqa: BLE001 - structured failure channel
-        return ("task-error", traceback.format_exc(), time.perf_counter() - start)
-
-
 @dataclass
 class Job:
     """One admitted unit of work (shared by all identical requests)."""
 
     key: str
     spec: dict
+    task: ExperimentTask | None = None  # None for jobs that never run
     priority: int = 1
     state: str = QUEUED
     error: str | None = None
@@ -185,10 +168,16 @@ class ExperimentService:
             requests shed.  Deduped attachments to an existing job never
             count against it.
         timeout_s / retries / backoff_base_s / jitter_seed: the crew and
-            scheduler supervision knobs (identical semantics to
-            :class:`~repro.core.pool.SupervisedPool`).
-        work_fn: picklable ``spec -> (status, payload, elapsed)``
-            override for tests; defaults to :func:`execute_spec`.
+            scheduler supervision knobs (see
+            :class:`~repro.core.pool.WorkerCrew` and
+            :class:`~repro.core.pool.TaskScheduler`).
+        work_fn: picklable ``task -> (status, payload, elapsed)``
+            override for tests; defaults to
+            :func:`~repro.core.runner.execute_task`.  A ``"task-error"``
+            status is a deterministic failure and is journaled; the
+            scheduler's own ``"error"`` (crash or timeout after the
+            retries run out) is environmental and is not, so a restart
+            re-runs it.
     """
 
     def __init__(
@@ -200,7 +189,7 @@ class ExperimentService:
         retries: int = 1,
         backoff_base_s: float = 0.5,
         jitter_seed: int = 0,
-        work_fn: Callable[[dict], tuple[str, Any, float]] | None = None,
+        work_fn: Callable[[ExperimentTask], tuple[str, Any, float]] | None = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"need at least one worker: {workers}")
@@ -213,7 +202,7 @@ class ExperimentService:
         self.retries = retries
         self.backoff_base_s = backoff_base_s
         self.jitter_seed = jitter_seed
-        self.work_fn = work_fn or execute_spec
+        self.work_fn = work_fn or execute_task
         self.cache = ResultCache(self.state_dir / "results")
         self.ledger = RunLedger(self.state_dir)
         self.stats = ServiceStats()
@@ -239,31 +228,35 @@ class ExperimentService:
         entries = self.ledger.open()
         with self._lock:
             for entry in entries.values():
-                if entry.done:
-                    if entry.error is not None:
-                        # A deterministic failure stays failed across
-                        # restarts — re-running it would fail identically.
-                        job = Job(
-                            key=entry.key,
-                            spec=entry.spec,
-                            priority=entry.priority,
-                            state=FAILED,
-                            error=entry.error,
-                        )
-                        job.done_event.set()
-                        self._jobs[entry.key] = job
-                    continue
+                task, error = None, entry.error
+                if not entry.done:
+                    try:
+                        task = spec_to_task(entry.spec)
+                    except ReproError as rejected:
+                        # A spec this build cannot decode fails the same
+                        # way on every restart: journal it as such.
+                        error = f"ledger spec no longer decodes: {rejected}"
+                        self.ledger.done(entry.key, error=error)
                 job = Job(
                     key=entry.key,
                     spec=entry.spec,
+                    task=task,
                     priority=entry.priority,
-                    recovered=True,
                 )
+                if task is not None:
+                    job.recovered = True
+                    heapq.heappush(
+                        self._heap, (job.priority, next(self._seq), job.key)
+                    )
+                    self.stats.recovered += 1
+                elif error is not None:
+                    # A deterministic failure stays failed across
+                    # restarts — re-running it would fail identically.
+                    job.state, job.error = FAILED, error
+                    job.done_event.set()
+                else:
+                    continue
                 self._jobs[entry.key] = job
-                heapq.heappush(
-                    self._heap, (job.priority, next(self._seq), job.key)
-                )
-                self.stats.recovered += 1
         self.started_at = time.monotonic()
         self._engine = threading.Thread(
             target=self._engine_loop, name="repro-serve-engine", daemon=True
@@ -340,7 +333,7 @@ class ExperimentService:
                     self._retry_after_locked(depth), depth, self.max_queue
                 )
             self.stats.accepted += 1
-            job = Job(key=key, spec=spec, priority=priority)
+            job = Job(key=key, spec=spec, task=task, priority=priority)
             self.ledger.accept(key, spec, priority=priority)
             self._jobs[key] = job
             heapq.heappush(self._heap, (priority, next(self._seq), key))
@@ -499,7 +492,7 @@ class ExperimentService:
                 job.started_s = time.monotonic()
                 index = next(self._dispatch_seq)
                 self._dispatched[index] = key
-                scheduler.add(index, job.spec)
+                scheduler.add(index, job.task)
 
     def _drill(self, crew: WorkerCrew) -> None:
         with self._lock:
@@ -521,7 +514,6 @@ class ExperimentService:
             # Store *before* journaling completion: a crash between the
             # two re-runs the job (idempotent), the reverse order could
             # journal a completion whose result was lost.
-            key_for_store = None
             with self._lock:
                 key_for_store = self._dispatched.get(index)
             if key_for_store is not None:

@@ -62,7 +62,7 @@ class TestTimelineIdentity:
             ExperimentTask.performance(small_config(), audit=AUDIT, **CAPS)
         ]
         for jobs in (1, 4):
-            runner = ExperimentRunner(jobs=jobs, use_cache=False)
+            runner = ExperimentRunner(jobs=jobs)
             (outcome,) = runner.run(tasks)
             assert outcome.error is None
             assert outcome.result.fingerprints == baseline.fingerprints

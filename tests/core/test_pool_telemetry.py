@@ -4,10 +4,9 @@ with results, and robustness when a worker dies mid-stream."""
 import os
 import signal
 
-from repro.core.pool import SupervisedPool
 from repro.core.runner import ExperimentRunner
 from repro.obs.telemetry import emit, progress_frame
-from tests.core.test_supervision import tiny_task
+from tests.core.test_supervision import run_supervised, tiny_task
 
 
 # -- picklable work functions for the spawn workers -------------------------
@@ -33,13 +32,13 @@ def silent(x):
 class TestPoolTelemetry:
     def test_frames_are_routed_with_task_index(self):
         frames = []
-        pool = SupervisedPool(
+        out, _ = run_supervised(
             emits_then_returns,
-            n_workers=2,
+            [(0, 0), (1, 1)],
+            2,
             telemetry=lambda index, frame: frames.append((index, frame)),
         )
-        out = sorted(pool.run([(0, 0), (1, 1)]))
-        assert [(i, status) for i, _, (status, _, _) in out] == [
+        assert [(i, status) for i, _, (status, _, _) in sorted(out)] == [
             (0, "ok"),
             (1, "ok"),
         ]
@@ -50,35 +49,33 @@ class TestPoolTelemetry:
             assert frame["stage"] == "stage"
 
     def test_frames_dropped_silently_without_callback(self):
-        pool = SupervisedPool(emits_then_returns, n_workers=1)
-        out = list(pool.run([(0, 5)]))
+        out, _ = run_supervised(emits_then_returns, [(0, 5)], 1)
         assert out[0][2] == ("ok", 50, 0.0)
 
     def test_worker_killed_after_emitting_is_still_a_clean_crash(self):
         frames = []
-        pool = SupervisedPool(
+        [(index, _, (status, message, _))], stats = run_supervised(
             emits_then_dies,
-            n_workers=1,
-            retries=0,
+            [(0, None)],
+            1,
             telemetry=lambda index, frame: frames.append((index, frame)),
         )
-        [(index, _, (status, message, _))] = list(pool.run([(0, None)]))
         assert (index, status) == (0, "error")
         assert "died" in message
         # The frame sent before the kill may or may not have been drained
         # before the pipe broke; what matters is no exception and a
         # structured error (not a hang or a lost task).
         assert all(frame["stage"] == "doomed" for _, frame in frames)
-        assert pool.stats.crashes == 1
+        assert stats.crashes == 1
 
     def test_mixed_telemetry_and_silent_tasks(self):
         frames = []
-        pool = SupervisedPool(
+        out, _ = run_supervised(
             silent,
-            n_workers=2,
+            [(i, i) for i in range(4)],
+            2,
             telemetry=lambda index, frame: frames.append((index, frame)),
         )
-        out = sorted(pool.run([(i, i) for i in range(4)]))
         assert len(out) == 4
         assert frames == []
 

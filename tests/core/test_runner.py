@@ -142,9 +142,13 @@ class TestSerialRunner:
         assert all(o.from_cache for o in second)
         assert [o.result for o in first] == [o.result for o in second]
 
-    def test_use_cache_false_ignores_directory(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path, use_cache=False)
+    def test_no_cache_dir_means_no_cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runner = ExperimentRunner(cache_dir=None)
+        assert runner.cache is None
         runner.run([tiny_task()])
+        runner.run([tiny_task()])
+        assert runner.stats.executed == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_progress_callback_sees_every_point(self):

@@ -1,23 +1,18 @@
-"""Tests for hardened sweep execution: the supervised pool, per-task
-timeouts, bounded retries, checkpoint/resume, and graceful interrupts."""
+"""Tests for hardened sweep execution: the supervised worker pool
+(a WorkerCrew driven by a TaskScheduler), per-task timeouts, bounded
+retries, resume from the result cache, and graceful interrupts."""
 
-import json
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
-from repro.core.checkpoint import SweepCheckpoint
 from repro.core.configs import ExperimentConfig, FixedPolicy, SystemConfig
-from repro.core.pool import SupervisedPool
-from repro.core.runner import (
-    CACHE_FORMAT_VERSION,
-    ExperimentRunner,
-    ExperimentTask,
-    ResultCache,
-)
-from repro.errors import ConfigurationError, ReproError, SweepInterrupted
+from repro.core.pool import TaskScheduler, WorkerCrew
+from repro.core.runner import ExperimentRunner, ExperimentTask, ResultCache
+from repro.errors import ConfigurationError, SweepInterrupted
 
 
 # -- picklable work functions for the spawn workers -------------------------
@@ -56,31 +51,53 @@ def tiny_task(seed=7):
     )
 
 
+def run_supervised(
+    work_fn, items, n_workers, timeout_s=None, retries=0, backoff_base_s=0.5,
+    telemetry=None,
+):
+    """Drive ``(index, payload)`` items through a crew and scheduler until
+    every one resolves; returns the outcomes and the supervision stats."""
+    crew = WorkerCrew(work_fn, timeout_s=timeout_s, telemetry=telemetry)
+    scheduler = TaskScheduler(
+        crew, retries=retries, backoff_base_s=backoff_base_s
+    )
+    for index, payload in items:
+        scheduler.add(index, payload)
+    outcomes = []
+    try:
+        crew.ensure_workers(min(n_workers, len(items)))
+        while scheduler.outstanding:
+            outcomes.extend(scheduler.step())
+    finally:
+        crew.shutdown()
+    return outcomes, crew.stats
+
+
 class TestSupervisedPool:
     def test_results_come_back_for_every_item(self):
-        pool = SupervisedPool(well_behaved, n_workers=2)
-        out = sorted(pool.run([(i, i) for i in range(5)]))
+        out, _ = run_supervised(well_behaved, [(i, i) for i in range(5)], 2)
+        out.sort()
         assert [(i, payload) for i, payload, _ in out] == [
             (i, i) for i in range(5)
         ]
         assert all(outcome == ("ok", i * 2, 0.0) for i, _, outcome in out)
 
     def test_crashed_worker_is_replaced_and_task_retried(self, tmp_path):
-        pool = SupervisedPool(
-            crash_once_then_succeed, n_workers=1, retries=1, backoff_base_s=0.05
-        )
-        [(index, _, (status, payload, _))] = list(
-            pool.run([(0, str(tmp_path / "flag"))])
+        [(index, _, (status, payload, _))], stats = run_supervised(
+            crash_once_then_succeed,
+            [(0, str(tmp_path / "flag"))],
+            1,
+            retries=1,
+            backoff_base_s=0.05,
         )
         assert (index, status, payload) == (0, "ok", "recovered")
-        assert pool.stats.crashes == 1
-        assert pool.stats.retries == 1
-        assert pool.stats.workers_replaced == 1
+        assert stats.crashes == 1
+        assert stats.retries == 1
+        assert stats.workers_replaced == 1
 
     def test_crash_without_retries_is_reported_not_lost(self, tmp_path):
-        pool = SupervisedPool(crash_once_then_succeed, n_workers=1, retries=0)
-        [(index, _, (status, message, _))] = list(
-            pool.run([(0, str(tmp_path / "flag"))])
+        [(index, _, (status, message, _))], _ = run_supervised(
+            crash_once_then_succeed, [(0, str(tmp_path / "flag"))], 1
         )
         assert index == 0
         assert status == "error"
@@ -88,43 +105,40 @@ class TestSupervisedPool:
         assert "retries exhausted" in message
 
     def test_timeout_kills_the_worker(self):
-        pool = SupervisedPool(hang, n_workers=1, timeout_s=0.3, retries=0)
-        [(index, _, (status, message, _))] = list(pool.run([(0, "x")]))
+        [(index, _, (status, message, _))], stats = run_supervised(
+            hang, [(0, "x")], 1, timeout_s=0.3
+        )
         assert index == 0
         assert status == "error"
         assert "timeout" in message
-        assert pool.stats.timeouts == 1
+        assert stats.timeouts == 1
 
     def test_task_exceptions_are_not_retried(self):
-        pool = SupervisedPool(always_raises, n_workers=1, retries=3)
-        [(_, _, (status, message, _))] = list(pool.run([(0, "x")]))
+        [(_, _, (status, message, _))], stats = run_supervised(
+            always_raises, [(0, "x")], 1, retries=3
+        )
         assert status == "error"
         assert "deterministic divergence" in message
-        assert pool.stats.retries == 0
+        assert stats.retries == 0
 
     def test_sibling_tasks_survive_a_crash(self, tmp_path):
         # One crashing task among well-behaved ones: everyone completes.
-        def run():
-            pool = SupervisedPool(
-                crash_once_then_succeed,
-                n_workers=2,
-                retries=1,
-                backoff_base_s=0.05,
-            )
-            flags = [str(tmp_path / f"flag{i}") for i in range(3)]
-            return sorted(pool.run(list(enumerate(flags))))
-
-        out = run()
+        flags = [str(tmp_path / f"flag{i}") for i in range(3)]
+        out, _ = run_supervised(
+            crash_once_then_succeed,
+            list(enumerate(flags)),
+            2,
+            retries=1,
+            backoff_base_s=0.05,
+        )
         assert len(out) == 3
         assert all(outcome[0] == "ok" for _, _, outcome in out)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SupervisedPool(well_behaved, n_workers=0)
+            WorkerCrew(well_behaved, timeout_s=0.0)
         with pytest.raises(ConfigurationError):
-            SupervisedPool(well_behaved, n_workers=1, timeout_s=0.0)
-        with pytest.raises(ConfigurationError):
-            SupervisedPool(well_behaved, n_workers=1, retries=-1)
+            TaskScheduler(WorkerCrew(well_behaved), retries=-1)
 
 
 class TestResultCacheIntegrity:
@@ -158,6 +172,10 @@ class TestResultCacheIntegrity:
 
 
 class TestCheckpointResume:
+    """The result cache is the sweep's resume record: rerunning an
+    interrupted sweep against the same ``cache_dir`` replays, by key,
+    exactly the points that finished."""
+
     def seeds(self):
         return (7, 8, 9)
 
@@ -166,29 +184,36 @@ class TestCheckpointResume:
 
     def test_interrupt_flushes_and_raises_130_material(self, tmp_path):
         """Interrupting mid-sweep raises SweepInterrupted naming the
-        partial-results directory; completed points are checkpointed."""
-        calls = []
+        result cache; completed points are already stored there."""
 
         def interrupt_after_first(outcome, completed, total):
-            calls.append(outcome)
             if completed == 1:
                 raise KeyboardInterrupt
 
         runner = ExperimentRunner(
             jobs=1,
-            checkpoint_dir=tmp_path / "ckpt",
+            cache_dir=tmp_path / "cache",
             progress=interrupt_after_first,
         )
         with pytest.raises(SweepInterrupted) as exc:
             runner.run(self.sweep())
         assert exc.value.completed == 1
         assert exc.value.total == 3
-        assert str(tmp_path / "ckpt") in str(exc.value.partial_dir)
+        assert str(tmp_path / "cache") in str(exc.value.partial_dir)
         assert "partial results flushed" in str(exc.value)
-        assert SweepCheckpoint(tmp_path / "ckpt").completed == 0  # fresh view
-        ckpt = SweepCheckpoint(tmp_path / "ckpt")
-        ckpt.begin(total=3, resume=True)
-        assert ckpt.completed == 1
+        cache = ResultCache(tmp_path / "cache")
+        stored = [cache.load(task.cache_key) for task in self.sweep()]
+        assert [result is not None for result in stored] == [True, False, False]
+
+    def test_interrupt_without_a_cache_names_no_directory(self):
+        def interrupt_after_first(outcome, completed, total):
+            raise KeyboardInterrupt
+
+        runner = ExperimentRunner(jobs=1, progress=interrupt_after_first)
+        with pytest.raises(SweepInterrupted) as exc:
+            runner.run(self.sweep()[:2])
+        assert exc.value.partial_dir is None
+        assert "flushed" not in str(exc.value)
 
     def test_resume_is_bit_identical_to_uninterrupted(self, tmp_path):
         reference = ExperimentRunner(jobs=1).results(self.sweep())
@@ -199,67 +224,41 @@ class TestCheckpointResume:
 
         interrupted = ExperimentRunner(
             jobs=1,
-            checkpoint_dir=tmp_path / "ckpt",
+            cache_dir=tmp_path / "cache",
             progress=interrupt_after_first,
         )
         with pytest.raises(SweepInterrupted):
             interrupted.run(self.sweep())
 
-        resumed = ExperimentRunner(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True
-        )
+        resumed = ExperimentRunner(jobs=1, cache_dir=tmp_path / "cache")
         results = resumed.results(self.sweep())
         assert results == reference
         # The point completed before the interrupt was replayed, not rerun.
         assert resumed.stats.cached == 1
         assert resumed.stats.executed == 2
 
-    def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentRunner(resume=True)
-
-    def test_corrupt_manifest_resumes_nothing(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{ not json")
-        ckpt = SweepCheckpoint(tmp_path)
-        ckpt.begin(total=2, resume=True)
-        assert ckpt.completed == 0
-
-    def test_stale_cache_format_fails_loudly(self, tmp_path):
-        # A manifest from an older build holds task keys computed with a
-        # different hash recipe; resuming from it must not silently
-        # re-run everything while appearing to honor the checkpoint.
-        ckpt = SweepCheckpoint(tmp_path)
-        ckpt.begin(total=1, resume=False)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["cache_format"] = CACHE_FORMAT_VERSION - 1
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ReproError, match="cache format"):
-            SweepCheckpoint(tmp_path).begin(total=1, resume=True)
-
-    def test_versionless_manifest_fails_loudly(self, tmp_path):
-        (tmp_path / "manifest.json").write_text(
-            json.dumps({"format": 1, "done": ["abc"]})
-        )
-        with pytest.raises(ReproError, match="cache format"):
-            SweepCheckpoint(tmp_path).begin(total=1, resume=True)
-
-    def test_fresh_start_ignores_stale_manifest(self, tmp_path):
-        (tmp_path / "manifest.json").write_text(
-            json.dumps({"format": 1, "done": ["abc"]})
-        )
-        ckpt = SweepCheckpoint(tmp_path)
-        ckpt.begin(total=1, resume=False)  # no --resume: no error
-        assert ckpt.completed == 0
-
     def test_checkpoint_results_validate_on_read(self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path)
-        ckpt.begin(total=1, resume=False)
-        ckpt.record("abc", {"x": 1})
-        assert ckpt.result_for("abc") == {"x": 1}
-        # Corrupt the stored result: the checkpoint treats it as missing.
-        path = ckpt.results.path("abc")
-        path.write_bytes(b"junk")
-        assert ckpt.result_for("abc") is None
+        sweep = self.sweep()[:2]
+        first = ExperimentRunner(jobs=1, cache_dir=tmp_path).results(sweep)
+        # Corrupt one stored result: the resume treats it as missing,
+        # re-executes that point alone, and lands on the same answer.
+        ResultCache(tmp_path).path(sweep[0].cache_key).write_bytes(b"junk")
+        resumed = ExperimentRunner(jobs=1, cache_dir=tmp_path)
+        assert resumed.results(sweep) == first
+        assert (resumed.stats.executed, resumed.stats.cached) == (1, 1)
+        assert resumed.cache.evictions == 1
+
+    def test_interrupted_pooled_sweep_reaps_every_worker(self, tmp_path):
+        def interrupt_at_first(outcome, completed, total):
+            raise KeyboardInterrupt
+
+        runner = ExperimentRunner(
+            jobs=2, cache_dir=tmp_path, progress=interrupt_at_first
+        )
+        with pytest.raises(SweepInterrupted) as exc:
+            runner.run(self.sweep())
+        assert exc.value.completed == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestRunnerTimeout:

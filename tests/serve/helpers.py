@@ -1,8 +1,9 @@
 """Shared fixtures for the serve tests: spec builders and picklable
 work functions for the spawn workers.
 
-The service validates every submission through the codec, so scripted
-work functions receive *canonical* specs; behavior is keyed on the seed:
+The service decodes every submission through the codec and hands its
+workers the resulting :class:`~repro.core.runner.ExperimentTask`, so the
+scripted work functions receive tasks; behavior is keyed on the seed:
 
 * ``666`` — scripted deterministic task failure (``task-error``).
 * ``[700, 800)`` — gated: blocks until the ``REPRO_TEST_GATE`` file
@@ -39,8 +40,8 @@ def tiny_real_spec(seed: int = 7) -> dict:
     )
 
 
-def scripted_work(spec: dict) -> tuple:
-    seed = spec["seed"]
+def scripted_work(task) -> tuple:
+    seed = task.config.seed
     if seed == 666:
         return ("task-error", "Traceback: scripted deterministic failure", 0.0)
     if 700 <= seed < 800:
@@ -57,14 +58,14 @@ def scripted_work(spec: dict) -> tuple:
     return ("ok", {"seed": seed, "square": seed * seed}, 0.01)
 
 
-def emitting_work(spec: dict) -> tuple:
+def emitting_work(task) -> tuple:
     """Streams a few telemetry frames before finishing (SSE tests)."""
     from repro.obs.telemetry import emit
 
     for tick in range(3):
         emit({"stage": "tick", "sim_ms": float(tick), "cap_ms": 3.0})
         time.sleep(0.05)
-    return ("ok", {"seed": spec["seed"]}, 0.15)
+    return ("ok", {"seed": task.config.seed}, 0.15)
 
 
 def drain_gated(service, gate: str, timeout_s: float = 10.0) -> None:

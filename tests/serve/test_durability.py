@@ -1,9 +1,13 @@
-"""Tests for the durability satellites: concurrent-writer-safe result
-cache stores and per-thread telemetry emitter slots."""
+"""Tests for the durability satellites: the shared atomic write,
+concurrent-writer-safe result cache stores, and per-thread telemetry
+emitter slots."""
 
+import os
 import threading
 
-from repro.core.runner import ResultCache
+import pytest
+
+from repro.core.runner import ResultCache, atomic_write
 from repro.obs.telemetry import (
     emit,
     install_emitter,
@@ -52,6 +56,30 @@ class TestConcurrentCacheStores:
             t.join()
         for k in range(16):
             assert cache.load(f"key-{k}") == {"value": k}
+
+
+class TestAtomicWrite:
+    def test_failed_rename_keeps_the_old_file_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        cache.store("key", {"value": "old"})
+        target = tmp_path / "plain"
+        atomic_write(target, b"old ", b"bytes")
+
+        def failing_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated rename failure"):
+            atomic_write(target, b"new bytes")
+        with pytest.raises(OSError, match="simulated rename failure"):
+            cache.store("key", {"value": "new"})
+        monkeypatch.undo()
+
+        assert target.read_bytes() == b"old bytes"
+        assert cache.load("key") == {"value": "old"}
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestThreadLocalEmitters:

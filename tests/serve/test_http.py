@@ -71,6 +71,48 @@ class running_server:
             return error.code, dict(error.headers), json.loads(error.read())
 
 
+class TestListenBacklog:
+    def test_burst_beyond_the_default_backlog_is_answered_not_reset(
+        self, tmp_path, gate
+    ):
+        # 32 simultaneous connections against socketserver's default
+        # backlog of 5 drew TCP resets; sized from the service, every
+        # one is answered — admitted (202) or shed (429).
+        burst = 32
+        with running_server(tmp_path, workers=1, max_queue=16) as server:
+            assert server.daemon.request_queue_size >= burst
+            statuses, errors = [], []
+            lock = threading.Lock()
+            barrier = threading.Barrier(burst)
+
+            def post(seed):
+                barrier.wait()
+                try:
+                    status, _, _ = server.request(
+                        "/v1/experiments", {"spec": spec_for(seed)}
+                    )
+                except OSError as error:
+                    with lock:
+                        errors.append(repr(error))
+                else:
+                    with lock:
+                        statuses.append(status)
+
+            threads = [
+                threading.Thread(target=post, args=(700 + i,))
+                for i in range(burst)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            drain_gated(server.service, gate)
+        assert errors == []
+        assert len(statuses) == burst
+        assert set(statuses) <= {200, 202, 429}
+        assert 429 in statuses
+
+
 class TestSubmission:
     def test_submit_and_wait_returns_the_finished_job(self, server):
         status, _, body = server.request(

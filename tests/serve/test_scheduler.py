@@ -5,12 +5,12 @@ import os
 import time
 
 from repro.core.pool import (
-    SupervisedPool,
     TaskScheduler,
     WorkerCrew,
     backoff_delay,
     backoff_schedule,
 )
+from tests.core.test_supervision import run_supervised
 
 
 # -- picklable work functions for the spawn workers -------------------------
@@ -57,26 +57,26 @@ class TestBackoffDeterminism:
     def test_scheduler_retry_uses_the_published_schedule(self):
         # The published schedule is the contract: a service replaying a
         # request after a restart must back off identically.
-        pool = SupervisedPool(quick, n_workers=1, retries=2, jitter_seed=9)
+        scheduler = TaskScheduler(WorkerCrew(quick), retries=2, jitter_seed=9)
         assert backoff_schedule(
-            pool.jitter_seed, 5, pool.retries, pool.backoff_base_s
+            scheduler.jitter_seed, 5, scheduler.retries, scheduler.backoff_base_s
         ) == backoff_schedule(9, 5, 2, 0.5)
 
 
 class TestTimeoutWithSiblings:
     def test_hung_task_is_killed_while_siblings_complete(self):
-        pool = SupervisedPool(slow_if_zero, n_workers=3, timeout_s=1.5)
-        outcomes = {i: outcome for i, _, outcome in pool.run(
-            [(i, i) for i in range(5)]
-        )}
+        out, stats = run_supervised(
+            slow_if_zero, [(i, i) for i in range(5)], 3, timeout_s=1.5
+        )
+        outcomes = {i: outcome for i, _, outcome in out}
         assert set(outcomes) == set(range(5))
         status0, detail0, _ = outcomes[0]
         assert status0 == "error"
         assert "timeout" in detail0
         for i in (1, 2, 3, 4):
             assert outcomes[i] == ("ok", i * 10, 0.0)
-        assert pool.stats.timeouts == 1
-        assert pool.stats.workers_replaced == 1
+        assert stats.timeouts == 1
+        assert stats.workers_replaced == 1
 
 
 class TestWorkerCrew:

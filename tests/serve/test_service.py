@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, ServiceOverloaded
-from repro.serve import ExperimentService, result_digest
+from repro.serve import ExperimentService, RunLedger, result_digest
 from repro.serve.service import DONE, FAILED
 
 from .helpers import drain_gated, scripted_work, spec_for, tiny_real_spec
@@ -226,6 +226,29 @@ class TestRecovery:
             assert result_digest(revived.result(job2.key)) == clean_digest
         finally:
             revived.stop()
+
+
+    def test_undecodable_ledger_spec_is_failed_not_run(self, tmp_path):
+        # Recovery rebuilds each orphaned task from its journaled spec; a
+        # spec that no longer decodes fails the same way every restart,
+        # so it is journaled as a deterministic failure.
+        ledger = RunLedger(tmp_path / "state")
+        ledger.open()
+        ledger.accept("stale-key", {"workload": "XX"})
+        ledger.close()
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            job = service.job("stale-key")
+            assert job is not None and job.state == FAILED
+            assert "no longer decodes" in job.error
+            assert service.stats.recovered == 0
+        finally:
+            service.stop()
+        replayed = RunLedger(tmp_path / "state")
+        entry = replayed.open()["stale-key"]
+        replayed.close()
+        assert entry.done and "no longer decodes" in entry.error
 
 
 class TestPrioritiesAndViews:

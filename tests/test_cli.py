@@ -39,22 +39,19 @@ class TestParser:
 
     def test_supervision_flags(self):
         args = build_parser().parse_args(
-            [
-                "compare", "--timeout", "120", "--retries", "2",
-                "--checkpoint", "/tmp/ckpt", "--resume",
-            ]
+            ["compare", "--timeout", "120", "--retries", "2"]
         )
         assert args.timeout == 120.0
         assert args.retries == 2
-        assert args.checkpoint == "/tmp/ckpt"
-        assert args.resume
 
     def test_supervision_defaults_off(self):
         args = build_parser().parse_args(["perf"])
         assert args.timeout is None
         assert args.retries == 0
-        assert args.checkpoint is None
-        assert not args.resume
+        # Resuming is rerunning against the same cache: no extra flags.
+        for removed in ("--checkpoint", "--resume"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["perf", removed])
 
     def test_perf_fault_flags(self):
         args = build_parser().parse_args(
@@ -216,15 +213,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "slowdown windows" in out
 
-    def test_checkpointed_sweep_resumes(self, capsys, tmp_path):
+    def test_checkpointed_sweep_resumes(self, capsys, tmp_path, monkeypatch):
+        import repro.cli as cli
+
         argv = [
             "alloc", "--policy", "extent", "--workload", "SC",
-            "--scale", "0.03", "--no-cache",
-            "--checkpoint", str(tmp_path / "ckpt"),
+            "--scale", "0.03", "--cache-dir", str(tmp_path),
         ]
+
+        def interrupt(*_):
+            raise KeyboardInterrupt
+
+        # Interrupted once its point is done: the point is already stored.
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_progress", interrupt)
+            assert main(argv) == 130
+        err = capsys.readouterr().err
+        assert f"rerun with --cache-dir {tmp_path} to resume" in err
         assert main(argv) == 0
-        capsys.readouterr()
-        assert main(argv + ["--resume"]) == 0
         captured = capsys.readouterr()
         assert "0 executed, 1 cached" in captured.err
         assert "Internal fragmentation" in captured.out
@@ -315,6 +321,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "1/3 points done" in err
         assert "partial results flushed to /tmp/ckpt" in err
+
+        def interrupted_uncached(self, tasks):
+            raise SweepInterrupted(None, 1, 3)
+
+        monkeypatch.setattr(ExperimentRunner, "run", interrupted_uncached)
+        assert main(["alloc", "--scale", "0.03", "--no-cache"]) == 130
+        err = capsys.readouterr().err
+        assert "1/3 points done" in err
+        assert "nothing was persisted" in err
+        assert "flushed" not in err
 
     def test_bare_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         from repro.core.runner import ExperimentRunner

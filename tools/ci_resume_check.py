@@ -1,23 +1,23 @@
 #!/usr/bin/env python
 """CI crash/resume check: kill a sweep mid-flight, resume it, compare.
 
-This is the end-to-end guarantee behind ``--checkpoint``/``--resume``:
-a checkpointed sweep that dies abruptly (here: SIGKILL, the harshest
-case — no atexit handlers, no signal handlers, no flush) must resume
-from its manifest and finish with results bit-identical to a sweep that
-was never interrupted.
+This is the end-to-end guarantee behind resuming a sweep by rerunning
+it against the same ``--cache-dir``: a sweep that dies abruptly (here:
+SIGKILL, the harshest case — no atexit handlers, no signal handlers, no
+flush) must resume from the result cache it was filling and finish with
+results bit-identical to a sweep that was never interrupted.
 
 The script runs itself as a child (``--child <dir>``) executing a small
-checkpointed performance sweep, polls the manifest until at least one
-point has been recorded (but not all), SIGKILLs the child, then resumes
-the sweep in-process and compares against an uninterrupted reference.
+performance sweep against a fresh cache directory, polls the directory
+until at least one result entry has been stored (but not all), SIGKILLs
+the child, then reruns the sweep in-process against the same cache and
+compares against an uninterrupted reference.
 
 Exit status 0 on success; 1 with a diagnostic on any violation.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -53,35 +53,31 @@ def build_tasks():
     ]
 
 
-def run_child(checkpoint_dir: str) -> int:
+def run_child(cache_dir: str) -> int:
     from repro.core.runner import ExperimentRunner
 
-    runner = ExperimentRunner(jobs=1, checkpoint_dir=checkpoint_dir)
+    runner = ExperimentRunner(jobs=1, cache_dir=cache_dir)
     runner.results(build_tasks())
     return 0
 
 
-def completed_points(manifest: Path) -> int:
-    try:
-        with open(manifest, encoding="utf-8") as handle:
-            return int(json.load(handle).get("completed", 0))
-    except Exception:
-        return 0
+def completed_points(cache_dir: Path) -> int:
+    """Result entries stored so far (temp files are named ``*.tmp``)."""
+    return len(list(cache_dir.glob("*.pkl")))
 
 
 def main() -> int:
     if len(sys.argv) > 2 and sys.argv[1] == "--child":
         return run_child(sys.argv[2])
 
-    checkpoint_dir = tempfile.mkdtemp(prefix="repro-resume-check-")
-    manifest = Path(checkpoint_dir) / "manifest.json"
+    cache_dir = Path(tempfile.mkdtemp(prefix="repro-resume-check-"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
                       env.get("PYTHONPATH", "")])
     )
     child = subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--child", checkpoint_dir],
+        [sys.executable, os.path.abspath(__file__), "--child", str(cache_dir)],
         env=env,
     )
 
@@ -90,7 +86,7 @@ def main() -> int:
     while time.monotonic() < deadline:
         if child.poll() is not None:
             break
-        done = completed_points(manifest)
+        done = completed_points(cache_dir)
         if 1 <= done < len(SEEDS):
             child.send_signal(signal.SIGKILL)
             child.wait()
@@ -100,14 +96,14 @@ def main() -> int:
     else:
         child.kill()
         child.wait()
-        print("FAIL: sweep made no checkpoint progress before the deadline")
+        print("FAIL: sweep stored no result before the deadline")
         return 1
 
-    survivors = completed_points(manifest)
+    survivors = completed_points(cache_dir)
     if killed:
         print(
             f"killed child pid {child.pid} (SIGKILL) after "
-            f"{survivors}/{len(SEEDS)} points were checkpointed"
+            f"{survivors}/{len(SEEDS)} points were stored"
         )
     else:
         print(
@@ -117,9 +113,7 @@ def main() -> int:
 
     from repro.core.runner import ExperimentRunner
 
-    resumed = ExperimentRunner(
-        jobs=1, checkpoint_dir=checkpoint_dir, resume=True
-    )
+    resumed = ExperimentRunner(jobs=1, cache_dir=cache_dir)
     resumed_results = resumed.results(build_tasks())
     reference = ExperimentRunner(jobs=1).results(build_tasks())
 
@@ -129,7 +123,7 @@ def main() -> int:
     if resumed.stats.cached < survivors:
         print(
             f"FAIL: only {resumed.stats.cached} points replayed from the "
-            f"checkpoint; {survivors} were recorded before the kill"
+            f"cache; {survivors} were stored before the kill"
         )
         return 1
     print(
