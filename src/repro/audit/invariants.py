@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..errors import InvariantViolation, ReproError
+from ..errors import ConfigurationError, InvariantViolation, ReproError
 from .fingerprint import Fingerprint, canonical_digest, capture_state
 
 __all__ = ["AuditConfig", "InvariantAuditor"]
@@ -65,7 +65,7 @@ class AuditConfig:
 
     def __post_init__(self) -> None:
         if self.cadence_events < 1:
-            raise ReproError(
+            raise ConfigurationError(
                 f"audit cadence must be >= 1 event: {self.cadence_events}"
             )
 

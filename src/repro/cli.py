@@ -13,6 +13,10 @@ Exit status is 0 on success; configuration errors print to stderr and
 exit 2 (argparse semantics); an interrupted sweep (Ctrl-C) exits 130,
 and rerunning it against the same result cache resumes it.
 
+Every experiment command builds its task from a codec spec
+(:func:`spec_from_args` → :func:`repro.serve.codec.spec_to_task`), so
+the CLI and the HTTP API share one decoder, defaults and messages.
+
 The ``alloc``, ``perf``, and ``compare`` commands accept ``--jobs`` (fan
 independent sweep points across worker processes), ``--cache-dir``
 (result cache location, default ``~/.cache/repro`` or $REPRO_CACHE_DIR),
@@ -32,29 +36,16 @@ import pstats
 import sys
 import time
 from pathlib import Path
+from typing import Any
 
-from .audit import AuditConfig
 from .audit.bisect import bisect_divergence
 from .audit.replay import performance_replay
 from .core.comparison import figure6
 from .core.experiments import run_performance_experiment
 from .core.runner import ExperimentRunner, ExperimentTask, default_cache_dir
-from .core.configs import (
-    ORGANIZATIONS,
-    BuddyPolicy,
-    ExperimentConfig,
-    ExtentPolicy,
-    FfsPolicy,
-    LogStructuredPolicy,
-    PolicyConfig,
-    RestrictedPolicy,
-    SystemConfig,
-    extent_ranges_for,
-    selected_fixed,
-)
+from .core.configs import ORGANIZATIONS, SystemConfig, extent_ranges_for
 from .disk.geometry import WREN_IV
 from .errors import ReproError, SweepInterrupted
-from .fault.plan import parse_fault_spec
 from .obs import SweepTelemetry, trace_to_chrome, trace_to_jsonl
 from .sim.engine import Simulator
 from .report.figures import GroupedBarChart
@@ -65,30 +56,87 @@ from .report.summary import (
 )
 from .report.tables import Table
 from .serve import ExperimentService, make_daemon, task_to_spec
+from .serve.codec import POLICY_CODECS, WORKLOADS, spec_to_task
 from .units import MIB
 
-POLICY_NAMES = ("buddy", "restricted", "extent", "fixed", "lfs", "ffs")
+#: Marks a spec flag a subcommand does not declare (see add_spec_args).
+_UNDECLARED = object()
 
 
-def make_policy(name: str, workload: str, args: argparse.Namespace) -> PolicyConfig:
-    """Build a policy from CLI arguments (workload-aware defaults)."""
-    if name == "buddy":
-        return BuddyPolicy()
-    if name == "restricted":
-        return RestrictedPolicy(
-            grow_factor=args.grow_factor,
-            clustered=not args.unclustered,
-        )
-    if name == "extent":
-        ranges = extent_ranges_for(workload, args.extent_ranges)
-        return ExtentPolicy(range_means=ranges, fit=args.fit)
-    if name == "fixed":
-        return selected_fixed(workload)
-    if name == "lfs":
-        return LogStructuredPolicy()
-    if name == "ffs":
-        return FfsPolicy()
-    raise argparse.ArgumentTypeError(f"unknown policy {name!r}")
+def add_spec_args(
+    parser: argparse.ArgumentParser,
+    *,
+    cap_ms: object = _UNDECLARED,
+    organization: object = _UNDECLARED,
+    inject: object = _UNDECLARED,
+    policy: bool = True,
+) -> None:
+    """Declare the flags whose values land in a task spec, each once.
+
+    ``cap_ms``, ``organization`` and ``inject`` are the subcommand's
+    defaults for those flags; a flag left undeclared keeps the codec's
+    default.  Values are not checked here: :func:`spec_to_task` is the
+    one validator, so its message is the only rejection.
+    """
+    parser.add_argument("--scale", type=float, default=0.1,
+                        help="disk scale factor (1.0 = the paper's 2.8G)")
+    parser.add_argument("--seed", type=int, default=1991)
+    if policy:
+        parser.add_argument("--policy", default="restricted",
+                            help=f"one of {', '.join(POLICY_CODECS)}")
+        parser.add_argument("--workload", default="SC",
+                            help=f"one of {', '.join(WORKLOADS)}")
+        parser.add_argument("--grow-factor", type=int, default=1,
+                            help="restricted buddy grow factor")
+        parser.add_argument("--unclustered", action="store_true",
+                            help="disable restricted-buddy region clustering")
+        parser.add_argument("--extent-ranges", type=int, default=3,
+                            help="extent range count: a row (1-5) of the "
+                                 "workload's §4.3 table")
+        parser.add_argument("--fit", default="first",
+                            help="extent fit policy: first or best")
+    if cap_ms is not _UNDECLARED:
+        parser.add_argument("--cap-ms", type=float, default=cap_ms,
+                            help="simulated-time cap per phase")
+    if organization is not _UNDECLARED:
+        parser.add_argument("--organization", default=organization,
+                            help="disk organization: one of "
+                                 f"{', '.join(ORGANIZATIONS)} (redundant "
+                                 "ones mask failures)")
+    if inject is not _UNDECLARED:
+        parser.add_argument("--inject", default=inject, metavar="CLAUSES",
+                            help="fault plan, e.g. "
+                                 "'fail:drive=2,at=5000,repair=20000;"
+                                 "slow:drive=0,at=0,factor=4;"
+                                 "transient:rate=0.001'")
+
+
+def spec_from_args(
+    args: argparse.Namespace, kind: str = "performance"
+) -> dict:
+    """The codec spec the flags of :func:`add_spec_args` describe.
+
+    Only declared flags appear; a bare ``fixed`` or ``extent`` policy
+    takes the codec's per-workload defaults.
+    """
+    spec: dict = {"kind": kind, "seed": args.seed, "system": {"scale": args.scale}}
+    if "organization" in args:
+        spec["system"]["organization"] = args.organization
+    if "policy" in args:
+        spec["workload"] = args.workload
+        spec["policy"] = {"name": args.policy}
+        if args.policy == "restricted":
+            spec["policy"].update(
+                grow_factor=args.grow_factor, clustered=not args.unclustered
+            )
+        elif args.policy == "extent":
+            ranges = extent_ranges_for(args.workload, args.extent_ranges)
+            spec["policy"].update(range_means=list(ranges), fit=args.fit)
+    if getattr(args, "inject", None):
+        spec["faults"] = args.inject
+    if kind == "performance" and "cap_ms" in args:
+        spec["kwargs"] = {"app_cap_ms": args.cap_ms, "seq_cap_ms": args.cap_ms}
+    return spec
 
 
 def _progress(outcome, completed: int, total: int) -> None:
@@ -138,17 +186,21 @@ def _finish(runner: ExperimentRunner) -> None:
         print(f"runner: {runner.cache.stats_line()}", file=sys.stderr)
 
 
-def cmd_alloc(args: argparse.Namespace) -> int:
-    system = SystemConfig(scale=args.scale)
-    policy = make_policy(args.policy, args.workload, args)
-    config = ExperimentConfig(
-        policy=policy, workload=args.workload, system=system, seed=args.seed
-    )
+def _run_point(args: argparse.Namespace, task: ExperimentTask) -> Any:
+    """One point through the runner (cache, pool, telemetry) + summary."""
     runner = make_runner(args)
-    result = runner.results([ExperimentTask.allocation(config)])[0]
+    result = runner.results([task])[0]
     _finish(runner)
+    return result
+
+
+def cmd_alloc(args: argparse.Namespace) -> int:
+    task = spec_to_task(spec_from_args(args, "allocation"))
+    result = _run_point(args, task)
     frag = result.fragmentation
-    table = Table(["Metric", "Value"], title=f"Allocation test: {config.describe()}")
+    table = Table(
+        ["Metric", "Value"], title=f"Allocation test: {task.config.describe()}"
+    )
     table.add_row(["Internal fragmentation", f"{frag.internal_percent:.1f}%"])
     table.add_row(["External fragmentation", f"{frag.external_percent:.1f}%"])
     table.add_row(["Churn operations", result.operations])
@@ -160,21 +212,10 @@ def cmd_alloc(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    system = SystemConfig(scale=args.scale, organization=args.organization)
-    policy = make_policy(args.policy, args.workload, args)
-    faults = parse_fault_spec(args.inject) if args.inject else None
-    config = ExperimentConfig(
-        policy=policy, workload=args.workload, system=system, seed=args.seed,
-        faults=faults,
-    )
-    runner = make_runner(args)
-    task = ExperimentTask.performance(
-        config, app_cap_ms=args.cap_ms, seq_cap_ms=args.cap_ms,
-        audit=AuditConfig() if args.audit else None,
-    )
-    result = runner.results([task])[0]
-    _finish(runner)
-    print(render_performance_summary(result))
+    spec = spec_from_args(args)
+    if args.audit:
+        spec["audit"] = {}
+    print(render_performance_summary(_run_point(args, spec_to_task(spec))))
     return 0
 
 
@@ -186,23 +227,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
     the quickest way to see a drive failure, the reconstruction-read
     penalty, and the rebuild competing for bandwidth.
     """
-    system = SystemConfig(scale=args.scale, organization=args.organization)
-    policy = make_policy(args.policy, args.workload, args)
-    spec = parse_fault_spec(args.inject)
-    if spec.empty:
+    task = spec_to_task(spec_from_args(args))
+    config = task.config
+    if config.faults is None:
         raise ReproError("the fault plan is empty; pass --inject CLAUSES")
-    config = ExperimentConfig(
-        policy=policy, workload=args.workload, system=system, seed=args.seed,
-        faults=spec,
-    )
-    runner = make_runner(args)
-    task = ExperimentTask.performance(
-        config, app_cap_ms=args.cap_ms, seq_cap_ms=args.cap_ms
-    )
-    result = runner.results([task])[0]
-    _finish(runner)
-    print(f"fault plan: {spec.describe()}")
-    print(f"organization: {args.organization}, {config.describe()}")
+    result = _run_point(args, task)
+    print(f"fault plan: {config.faults.describe()}")
+    print(f"organization: {config.system.organization}, {config.describe()}")
     print()
     print(render_fault_summary(result.faults))
     if result.io_failures:
@@ -222,29 +253,21 @@ def cmd_bisect(args: argparse.Namespace) -> int:
     like).  Exit status: 0 when the timelines are identical, 3 when a
     divergence was localized.
     """
-    import dataclasses
-
-    system = SystemConfig(scale=args.scale, organization=args.organization)
-    policy = make_policy(args.policy, args.workload, args)
-    config = ExperimentConfig(
-        policy=policy, workload=args.workload, system=system, seed=args.seed
-    )
-    kwargs = dict(app_cap_ms=args.cap_ms, seq_cap_ms=args.cap_ms)
+    spec = spec_from_args(args)
+    task = spec_to_task(spec)
+    replay_a = performance_replay(task.config, **dict(task.kwargs))
     if args.vary == "engine":
         label_a, label_b = "fast engine", "reference engine"
-        replay_a = performance_replay(config, **kwargs)
         replay_b = performance_replay(
-            config,
+            task.config,
             simulator_factory=lambda: Simulator(immediate_queue=False),
-            **kwargs,
+            **dict(task.kwargs),
         )
     else:  # seed
         seed_b = args.seed_b if args.seed_b is not None else args.seed + 1
         label_a, label_b = f"seed {args.seed}", f"seed {seed_b}"
-        replay_a = performance_replay(config, **kwargs)
-        replay_b = performance_replay(
-            dataclasses.replace(config, seed=seed_b), **kwargs
-        )
+        task_b = spec_to_task({**spec, "seed": seed_b})
+        replay_b = performance_replay(task_b.config, **dict(task_b.kwargs))
     print(f"run A: {label_a}; run B: {label_b}", file=sys.stderr)
     report = bisect_divergence(
         replay_a, replay_b, cadence=args.cadence, fine_limit=args.fine_limit
@@ -254,14 +277,13 @@ def cmd_bisect(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    system = SystemConfig(scale=args.scale)
+    # Figure 6 picks every workload and policy itself; only the system,
+    # seed and caps come from flags, decoded on a stand-in workload.
+    task = spec_to_task({**spec_from_args(args), "workload": "SC"})
     runner = make_runner(args)
     cells = figure6(
-        system,
-        seed=args.seed,
-        app_cap_ms=args.cap_ms,
-        seq_cap_ms=args.cap_ms,
-        runner=runner,
+        task.config.system, seed=task.config.seed, runner=runner,
+        **dict(task.kwargs),
     )
     _finish(runner)
     sequential = GroupedBarChart(
@@ -288,11 +310,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     hottest functions.  This is a diagnostic command — output contains
     wall-clock timings and is not byte-stable between runs.
     """
-    system = SystemConfig(scale=args.scale)
-    policy = make_policy(args.policy, args.workload, args)
-    config = ExperimentConfig(
-        policy=policy, workload=args.workload, system=system, seed=args.seed
-    )
+    task = spec_to_task(spec_from_args(args))
+    config = task.config
     sims: list[Simulator] = []
 
     def factory() -> Simulator:
@@ -305,10 +324,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     profiler.enable()
     result = run_performance_experiment(
-        config,
-        app_cap_ms=args.cap_ms,
-        seq_cap_ms=args.cap_ms,
-        simulator_factory=factory,
+        config, simulator_factory=factory, **dict(task.kwargs)
     )
     profiler.disable()
     wall_s = time.perf_counter() - started
@@ -365,23 +381,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     document goes to ``--trace-out`` when given, else to stdout; status
     lines stay on stderr either way.
     """
-    system = SystemConfig(scale=args.scale, organization=args.organization)
-    policy = make_policy(args.policy, args.workload, args)
-    faults = parse_fault_spec(args.inject) if args.inject else None
-    config = ExperimentConfig(
-        policy=policy, workload=args.workload, system=system, seed=args.seed,
-        faults=faults,
-    )
-    runner = make_runner(args)
-    task = ExperimentTask.performance(
-        config,
-        app_cap_ms=args.cap_ms,
-        seq_cap_ms=args.cap_ms,
-        collect_trace=True,
-        collect_metrics=args.metrics,
-    )
-    result = runner.results([task])[0]
-    _finish(runner)
+    spec = spec_from_args(args)
+    spec["kwargs"].update(collect_trace=True, collect_metrics=args.metrics)
+    task = spec_to_task(spec)
+    result = _run_point(args, task)
     trace = result.trace
     render = trace_to_chrome if args.format == "chrome" else trace_to_jsonl
     rendered = render(trace)
@@ -395,7 +398,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
     if args.json:
         document = {
-            "config": config.describe(),
+            "config": task.config.describe(),
             "format": args.format,
             "span_count": trace.span_count,
             "instant_count": len(trace.instants),
@@ -518,47 +521,42 @@ def _follow_events(base_url: str, key: str) -> None:
                     return
 
 
+def _load_spec(path: str) -> object:
+    """The JSON document in ``path`` ('-' reads stdin)."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError as error:
+        raise ReproError(f"cannot read spec file {path}: {error.strerror}") from None
+    try:
+        return json.loads(text)
+    except ValueError as error:
+        raise ReproError(f"spec file {path} is not JSON: {error}") from None
+
+
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one experiment to a running ``repro serve`` daemon.
 
     The spec is built locally from the same flags ``perf``/``alloc``
-    use (or loaded verbatim from ``--spec FILE``), so a submission is
-    validated client-side before it travels.  Exit status: 0 done,
-    1 the job failed, 9 still running (no/expired ``--wait``),
-    75 shed by admission control (EX_TEMPFAIL — retry later).
+    use (or loaded from ``--spec FILE``) and decoded with the daemon's
+    own codec, so a submission is validated client-side before it
+    travels.  Exit status: 0 done, 1 the job failed, 9 still running
+    (no/expired ``--wait``), 75 shed by admission control (EX_TEMPFAIL —
+    retry later).
     """
     if args.spec:
-        text = (
-            sys.stdin.read()
-            if args.spec == "-"
-            else Path(args.spec).read_text()
-        )
-        spec = json.loads(text)
+        spec = _load_spec(args.spec)
     else:
-        system = SystemConfig(scale=args.scale, organization=args.organization)
-        policy = make_policy(args.policy, args.workload, args)
-        faults = parse_fault_spec(args.inject) if args.inject else None
-        config = ExperimentConfig(
-            policy=policy, workload=args.workload, system=system,
-            seed=args.seed, faults=faults,
+        spec = spec_from_args(
+            args, "allocation" if args.kind == "alloc" else "performance"
         )
-        if args.kind == "alloc":
-            task = ExperimentTask.allocation(config)
-        else:
-            task = ExperimentTask.performance(
-                config,
-                app_cap_ms=args.cap_ms,
-                seq_cap_ms=args.cap_ms,
-                audit=AuditConfig(fingerprints=True)
-                if args.fingerprints
-                else None,
-            )
-        spec = task_to_spec(task)
+        if args.fingerprints and args.kind == "perf":
+            spec["audit"] = {"fingerprints": True}
+    task = spec_to_task(spec)
 
     base = args.url.rstrip("/")
     status, body = _http_json(
         f"{base}/v1/experiments",
-        {"spec": spec, "priority": args.priority, "wait_s": args.wait},
+        {"spec": task_to_spec(task), "priority": args.priority, "wait_s": args.wait},
     )
     if status == 429:
         print(
@@ -614,11 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_base(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scale", type=float, default=0.1,
-                       help="disk scale factor (1.0 = the paper's 2.8G)")
-        p.add_argument("--seed", type=int, default=1991)
-
     def add_runner(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for independent sweep points "
@@ -641,37 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(per-point stage/progress/ETA; stdout is "
                             "unaffected)")
 
-    def add_policy(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--policy", choices=POLICY_NAMES, default="restricted")
-        p.add_argument("--workload", choices=("TS", "TP", "SC"), default="SC")
-        p.add_argument("--grow-factor", type=int, default=1,
-                       help="restricted buddy grow factor")
-        p.add_argument("--unclustered", action="store_true",
-                       help="disable restricted-buddy region clustering")
-        p.add_argument("--extent-ranges", type=int, default=3,
-                       choices=range(1, 6), help="extent range count")
-        p.add_argument("--fit", choices=("first", "best"), default="first")
-
-    def add_common(p: argparse.ArgumentParser, with_policy: bool = True) -> None:
-        add_base(p)
-        add_runner(p)
-        if with_policy:
-            add_policy(p)
-
     alloc = sub.add_parser("alloc", help="run the allocation (fragmentation) test")
-    add_common(alloc)
+    add_spec_args(alloc)
+    add_runner(alloc)
     alloc.set_defaults(func=cmd_alloc)
 
     perf = sub.add_parser("perf", help="run the application + sequential tests")
-    add_common(perf)
-    perf.add_argument("--cap-ms", type=float, default=60_000.0,
-                      help="simulated-time cap per phase")
-    perf.add_argument("--organization", choices=ORGANIZATIONS, default="striped",
-                      help="disk organization (redundant ones mask failures)")
-    perf.add_argument("--inject", default=None, metavar="CLAUSES",
-                      help="fault plan, e.g. "
-                           "'fail:drive=2,at=5000,repair=20000;"
-                           "slow:drive=0,at=0,factor=4;transient:rate=0.001'")
+    add_spec_args(perf, cap_ms=60_000.0, organization="striped", inject=None)
+    add_runner(perf)
     perf.add_argument("--audit", action="store_true",
                       help="run with the invariant auditor attached; any "
                            "bookkeeping violation aborts the run with a "
@@ -683,8 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay two run variants and binary-search the first "
              "diverging event via state fingerprints",
     )
-    add_base(bisect)
-    add_policy(bisect)
+    add_spec_args(bisect, cap_ms=8_000.0, organization="striped")
     bisect.add_argument("--vary", choices=("engine", "seed"), default="engine",
                         help="what differs between run A and run B: the "
                              "engine variant (fast vs reference; expected "
@@ -692,11 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     bisect.add_argument("--seed-b", type=int, default=None,
                         help="run B's seed for --vary seed "
                              "(default: --seed + 1)")
-    bisect.add_argument("--cap-ms", type=float, default=8_000.0,
-                        help="simulated-time cap per phase (small by "
-                             "default: every probe replays the run)")
-    bisect.add_argument("--organization", choices=ORGANIZATIONS,
-                        default="striped")
     bisect.add_argument("--cadence", type=int, default=10_000,
                         help="coarse-pass fingerprint cadence (events)")
     bisect.add_argument("--fine-limit", type=int, default=1_024,
@@ -709,30 +673,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults into a redundant organization; report "
              "degraded-mode throughput",
     )
-    add_common(faults)
-    faults.add_argument("--cap-ms", type=float, default=60_000.0,
-                        help="simulated-time cap per phase")
-    faults.add_argument("--organization", choices=ORGANIZATIONS, default="raid5",
-                        help="disk organization under test")
-    faults.add_argument("--inject", metavar="CLAUSES",
-                        default="fail:drive=0,at=15000,repair=40000",
-                        help="fault plan (same grammar as perf --inject)")
+    add_spec_args(
+        faults, cap_ms=60_000.0, organization="raid5",
+        inject="fail:drive=0,at=15000,repair=40000",
+    )
+    add_runner(faults)
     faults.set_defaults(func=cmd_faults)
 
     compare = sub.add_parser("compare", help="Figure 6: four policies, three workloads")
-    add_common(compare, with_policy=False)
-    compare.add_argument("--cap-ms", type=float, default=40_000.0)
+    add_spec_args(compare, cap_ms=40_000.0, policy=False)
+    add_runner(compare)
     compare.set_defaults(func=cmd_compare)
 
     profile = sub.add_parser(
         "profile",
         help="profile one perf point: cProfile + engine subsystem counters",
     )
-    add_base(profile)
-    add_policy(profile)
-    profile.add_argument("--cap-ms", type=float, default=20_000.0,
-                         help="simulated-time cap per phase (small by default: "
-                              "profiling needs samples, not stabilization)")
+    add_spec_args(profile, cap_ms=20_000.0)
     profile.add_argument("--sort", choices=("tottime", "cumtime"),
                          default="tottime",
                          help="cProfile ordering: internal (tottime) or "
@@ -752,16 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="export a span trace of one perf point "
              "(Chrome/Perfetto or JSONL)",
     )
-    add_common(trace)
-    trace.add_argument("--cap-ms", type=float, default=8_000.0,
-                       help="simulated-time cap per phase (small by default: "
-                            "traces grow with simulated time)")
-    trace.add_argument("--organization", choices=ORGANIZATIONS,
-                       default="striped",
-                       help="disk organization under test")
-    trace.add_argument("--inject", default=None, metavar="CLAUSES",
-                       help="fault plan (same grammar as perf --inject); "
-                            "fault flips appear as instant events")
+    add_spec_args(trace, cap_ms=8_000.0, organization="striped", inject=None)
+    add_runner(trace)
     trace.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the trace document here instead of stdout")
     trace.add_argument("--format", choices=("chrome", "jsonl"),
@@ -812,24 +761,16 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one experiment to a running serve daemon",
     )
-    add_base(submit)
-    add_policy(submit)
+    add_spec_args(submit, cap_ms=60_000.0, organization="striped", inject=None)
     submit.add_argument("--url", default="http://127.0.0.1:8765",
                         help="base URL of the serve daemon")
     submit.add_argument("--kind", choices=("perf", "alloc"), default="perf")
-    submit.add_argument("--cap-ms", type=float, default=60_000.0,
-                        help="simulated-time cap per phase (perf only)")
-    submit.add_argument("--organization", choices=ORGANIZATIONS,
-                        default="striped")
-    submit.add_argument("--inject", default=None, metavar="CLAUSES",
-                        help="fault plan (same grammar as perf --inject)")
     submit.add_argument("--fingerprints", action="store_true",
                         help="request audit fingerprints (the bit-identity "
                              "witness) with the result")
     submit.add_argument("--spec", default=None, metavar="FILE",
-                        help="submit this JSON spec file verbatim "
-                             "('-' reads stdin) instead of building one "
-                             "from flags")
+                        help="submit this JSON spec file ('-' reads "
+                             "stdin) instead of building one from flags")
     submit.add_argument("--priority", choices=("high", "normal", "low"),
                         default="normal")
     submit.add_argument("--wait", type=float, default=None, metavar="SECONDS",

@@ -173,6 +173,32 @@ PAPER_SYSTEM = SystemConfig()
 # ---------------------------------------------------------------------------
 
 
+def _check(ok: object, name: str, expected: str, value: object) -> None:
+    """Construction-time validation: configs fail here, not in a worker."""
+    if not ok:
+        raise ConfigurationError(f"{name}: expected {expected}, got {value!r}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_size(value: object) -> bool:
+    """Whether ``value`` parses to a positive byte count."""
+    if not (_is_int(value) or isinstance(value, str)):
+        return False
+    try:
+        return parse_size(value) > 0
+    except ConfigurationError:
+        return False
+
+
+def _is_sizes(values: object) -> bool:
+    return isinstance(values, (tuple, list)) and bool(values) and all(
+        map(_is_size, values)
+    )
+
+
 class PolicyConfig(abc.ABC):
     """A buildable, labelled allocation-policy configuration."""
 
@@ -209,6 +235,16 @@ class RestrictedPolicy(PolicyConfig):
     clustered: bool = True
     region_size: str | int = "32M"
 
+    def __post_init__(self) -> None:
+        sizes, grow = self.block_sizes, self.grow_factor
+        _check(_is_sizes(sizes), "block_sizes", "a list of sizes", sizes)
+        _check(
+            _is_int(grow) and grow >= 1, "grow_factor",
+            "an integer grow factor >= 1", grow,
+        )
+        _check(isinstance(self.clustered, bool), "clustered", "a boolean", self.clustered)
+        _check(_is_size(self.region_size), "region_size", "a size", self.region_size)
+
     def build(self, capacity_units, disk_unit_bytes, rng):
         ladder = ladder_from_sizes(list(self.block_sizes), disk_unit_bytes)
         region_units = parse_size(self.region_size) // disk_unit_bytes
@@ -235,6 +271,11 @@ class ExtentPolicy(PolicyConfig):
 
     range_means: tuple[str, ...] = ("512K", "1M", "16M")
     fit: str = "first"  # "first" or "best"
+
+    def __post_init__(self) -> None:
+        means = self.range_means
+        _check(_is_sizes(means), "range_means", "a list of sizes", means)
+        _check(self.fit in ("first", "best"), "fit", "'first' or 'best'", self.fit)
 
     def build(self, capacity_units, disk_unit_bytes, rng):
         means = tuple(
@@ -263,6 +304,10 @@ class FixedPolicy(PolicyConfig):
     block_size: str | int = "4K"
     aged: bool = True
 
+    def __post_init__(self) -> None:
+        _check(_is_size(self.block_size), "block_size", "a size", self.block_size)
+        _check(isinstance(self.aged, bool), "aged", "a boolean", self.aged)
+
     def build(self, capacity_units, disk_unit_bytes, rng):
         block_units = parse_size(self.block_size) // disk_unit_bytes
         return FixedBlockAllocator(capacity_units, block_units, rng, aged=self.aged)
@@ -277,6 +322,9 @@ class FfsPolicy(PolicyConfig):
     """Extension (paper §1): BSD FFS-style blocks + fragments."""
 
     block_size: str | int = "8K"
+
+    def __post_init__(self) -> None:
+        _check(_is_size(self.block_size), "block_size", "a size", self.block_size)
 
     def build(self, capacity_units, disk_unit_bytes, rng):
         block_units = parse_size(self.block_size) // disk_unit_bytes
@@ -385,6 +433,11 @@ class ExperimentConfig:
     seed: int = 1991
     fill_fraction: float = 0.91
     faults: FaultSpec | None = None
+
+    def __post_init__(self) -> None:
+        fill = self.fill_fraction  # profiles.build_profile's rule
+        is_number = _is_int(fill) or isinstance(fill, float)
+        _check(is_number and 0 < fill <= 1, "fill_fraction", "a number in (0, 1]", fill)
 
     def describe(self) -> str:
         """One-line run description for logs and reports."""

@@ -79,6 +79,8 @@ class SlowDisk:
     def __post_init__(self) -> None:
         if self.at_ms < 0:
             raise FaultError(f"slowdown scheduled in the past: {self.at_ms}")
+        if self.drive < ALL_DRIVES:
+            raise FaultError(f"bad drive index: {self.drive}")
         if self.factor < 1.0:
             raise FaultError(f"slowdown factor must be >= 1: {self.factor}")
         if self.duration_ms <= 0:
@@ -104,6 +106,8 @@ class TransientFaults:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise FaultError(f"transient rate outside [0, 1]: {self.rate}")
+        if self.drive < ALL_DRIVES:
+            raise FaultError(f"bad drive index: {self.drive}")
         if self.start_ms < 0 or self.end_ms < self.start_ms:
             raise FaultError(
                 f"bad transient window [{self.start_ms}, {self.end_ms}]"
@@ -181,6 +185,10 @@ def _fields(body: str, clause: str, **spec: object) -> dict[str, float]:
                 values[key] = float(raw)
             except ValueError:
                 raise FaultError(f"bad number {raw!r} in {clause!r}") from None
+            if math.isnan(values[key]) or (
+                key == "drive" and not values[key].is_integer()
+            ):
+                raise FaultError(f"bad number {raw!r} in {clause!r}")
     for key, default in spec.items():
         if key not in values:
             if default is _REQUIRED:

@@ -10,6 +10,13 @@ stable: ``spec_to_task(task_to_spec(t))`` rebuilds a task with the same
 ``cache_key``, which is what makes the ledger's recorded specs a
 faithful crash-recovery record.
 
+The codec is also the one validator of user input: the CLI builds its
+specs from flags and decodes them here too, so both front ends share one
+set of defaults and one set of error messages.  Every value is
+type-checked before it reaches a config, and a bare ``fixed`` or
+``extent`` policy takes the §5 per-workload settings (4K blocks for TS,
+16K for TP/SC; §4.3's 3-range extent table), as the CLI always has.
+
 A spec looks like::
 
     {
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any
+from typing import Any, Callable
 
 from ..audit.invariants import AuditConfig
 from ..core.configs import (
@@ -41,10 +48,12 @@ from ..core.configs import (
     PolicyConfig,
     RestrictedPolicy,
     SystemConfig,
+    selected_extent,
+    selected_fixed,
 )
 from ..core.runner import ExperimentTask
 from ..disk.geometry import WREN_IV
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, FaultError
 from ..fault.plan import ALL_DRIVES, FaultSpec, parse_fault_spec
 
 #: Wire names for the policy configurations a spec may request.
@@ -57,40 +66,87 @@ POLICY_CODECS: dict[str, type[PolicyConfig]] = {
     "lfs": LogStructuredPolicy,
 }
 
+#: The paper's three workloads.
+WORKLOADS = ("TS", "TP", "SC")
+
+#: What a checked value must be: its description for the error message
+#: and the test it must pass.
+Rule = tuple[str, Callable[[Any], bool]]
+
+
+def _is_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_NUMBER: Rule = ("a number", _is_number)
+_INTEGER: Rule = ("an integer", _is_integer)
+_BOOLEAN: Rule = ("a boolean", lambda v: isinstance(v, bool))
+_STRING: Rule = ("a string", lambda v: isinstance(v, str))
+_POSITIVE: Rule = ("a positive number", lambda v: _is_number(v) and v > 0)
+_COUNT: Rule = ("a positive integer", lambda v: _is_integer(v) and v > 0)
+_FRACTION: Rule = ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1)
+_OBJECT: Rule = ("an object", lambda v: isinstance(v, dict))
+_KIND: Rule = (
+    "'performance' or 'allocation'",
+    lambda v: v in ("performance", "allocation"),
+)
+_WORKLOAD: Rule = ("TS, TP, or SC", lambda v: isinstance(v, str) and v in WORKLOADS)
+_POLICY: Rule = (
+    f"one of {', '.join(sorted(POLICY_CODECS))}",
+    lambda v: isinstance(v, str) and v in POLICY_CODECS,
+)
+
 #: SystemConfig fields a remote client may set.  ``geometry`` is
 #: deliberately absent: the wire format pins the paper's Wren IV.
-_SYSTEM_FIELDS = (
-    "n_disks",
-    "stripe_unit",
-    "disk_unit",
-    "scale",
-    "queue_discipline",
-    "organization",
-)
+_SYSTEM_FIELDS: dict[str, Rule] = {
+    "n_disks": _INTEGER,
+    "stripe_unit": ("a size", lambda v: isinstance(v, str) or _is_integer(v)),
+    "disk_unit": ("a size", lambda v: isinstance(v, str) or _is_integer(v)),
+    "scale": _NUMBER,
+    "queue_discipline": _STRING,
+    "organization": _STRING,
+}
 
 #: Experiment kwargs a spec may pass (all JSON scalars).  ``audit`` is
 #: its own top-level spec field because it builds an AuditConfig.
-_KWARG_FIELDS = {
-    "performance": (
-        "app_cap_ms",
-        "seq_cap_ms",
-        "warmup_ms",
-        "collect_trace",
-        "collect_metrics",
-    ),
-    "allocation": ("fill_fraction", "max_operations"),
+_KWARG_FIELDS: dict[str, dict[str, Rule]] = {
+    "performance": {
+        "app_cap_ms": _POSITIVE,
+        "seq_cap_ms": _POSITIVE,
+        "warmup_ms": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+        "collect_trace": _BOOLEAN,
+        "collect_metrics": _BOOLEAN,
+    },
+    "allocation": {"fill_fraction": _FRACTION, "max_operations": _COUNT},
 }
 
-_AUDIT_FIELDS = tuple(f.name for f in dataclasses.fields(AuditConfig))
+_AUDIT_FIELDS: dict[str, Rule] = {
+    "invariants": _BOOLEAN,
+    "fingerprints": _BOOLEAN,
+    "cadence_events": _COUNT,
+    "capture_state": _BOOLEAN,
+    "start_event": _INTEGER,
+    "end_event": ("an integer or null", lambda v: v is None or _is_integer(v)),
+}
 
 
-def _require_mapping(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{where}: expected an object, got {value!r}")
+def _checked(value: Any, rule: Rule, where: str) -> Any:
+    what, accepts = rule
+    if not accepts(value):
+        raise ConfigurationError(f"{where}: expected {what}, got {value!r}")
     return value
 
 
-def _reject_unknown(body: dict, allowed: tuple[str, ...], where: str) -> None:
+def _reject_unknown(body: dict, allowed: Any, where: str) -> None:
     unknown = sorted(set(body) - set(allowed))
     if unknown:
         raise ConfigurationError(
@@ -99,14 +155,22 @@ def _reject_unknown(body: dict, allowed: tuple[str, ...], where: str) -> None:
         )
 
 
-def _decode_policy(body: Any) -> PolicyConfig:
-    body = dict(_require_mapping(body, "policy"))
-    name = body.pop("name", None)
-    if name not in POLICY_CODECS:
-        raise ConfigurationError(
-            f"policy.name: expected one of {', '.join(sorted(POLICY_CODECS))}, "
-            f"got {name!r}"
-        )
+def _checked_fields(body: dict, rules: dict[str, Rule], where: str) -> dict:
+    """``body`` once every key is known to ``rules`` and every value passes."""
+    _reject_unknown(body, rules, where)
+    for key in sorted(body):
+        _checked(body[key], rules[key], f"{where}.{key}")
+    return body
+
+
+def _decode_policy(body: Any, workload: str) -> PolicyConfig:
+    body = dict(_checked(body, _OBJECT, "policy"))
+    name = _checked(body.pop("name", None), _POLICY, "policy.name")
+    # §5's per-workload settings, for specs that leave them out.
+    if name == "fixed":
+        body.setdefault("block_size", selected_fixed(workload).block_size)
+    elif name == "extent":
+        body.setdefault("range_means", selected_extent(workload).range_means)
     cls = POLICY_CODECS[name]
     field_names = tuple(f.name for f in dataclasses.fields(cls))
     _reject_unknown(body, field_names, f"policy[{name}]")
@@ -115,10 +179,7 @@ def _decode_policy(body: Any) -> PolicyConfig:
         # Tuple-typed fields (block size ladders, extent ranges) arrive
         # as JSON arrays.
         kwargs[key] = tuple(value) if isinstance(value, list) else value
-    try:
-        return cls(**kwargs)
-    except TypeError as error:
-        raise ConfigurationError(f"policy[{name}]: {error}") from None
+    return cls(**kwargs)  # each policy validates its own fields
 
 
 def _encode_policy(policy: PolicyConfig) -> dict:
@@ -135,9 +196,8 @@ def _encode_policy(policy: PolicyConfig) -> dict:
 
 
 def _decode_system(body: Any) -> SystemConfig:
-    body = _require_mapping(body, "system")
-    _reject_unknown(body, _SYSTEM_FIELDS, "system")
-    return SystemConfig(**body)
+    body = _checked(body, _OBJECT, "system")
+    return SystemConfig(**_checked_fields(body, _SYSTEM_FIELDS, "system"))
 
 
 def _encode_system(system: SystemConfig) -> dict:
@@ -199,32 +259,25 @@ def spec_to_task(spec: Any) -> ExperimentTask:
     field, bad type, or value the underlying configs reject — the
     HTTP layer maps those to 400 responses.
     """
-    spec = _require_mapping(spec, "task spec")
+    spec = _checked(spec, _OBJECT, "task spec")
     _reject_unknown(spec, _SPEC_FIELDS, "task spec")
-    kind = spec.get("kind", "performance")
-    if kind not in _KWARG_FIELDS:
-        raise ConfigurationError(
-            f"kind: expected 'performance' or 'allocation', got {kind!r}"
-        )
-    workload = spec.get("workload")
-    if workload not in ("TS", "TP", "SC"):
-        raise ConfigurationError(
-            f"workload: expected TS, TP, or SC, got {workload!r}"
-        )
-    seed = spec.get("seed", 1991)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigurationError(f"seed: expected an integer, got {seed!r}")
+    kind = _checked(spec.get("kind", "performance"), _KIND, "kind")
+    workload = _checked(spec.get("workload"), _WORKLOAD, "workload")
+    seed = _checked(spec.get("seed", 1991), _INTEGER, "seed")
 
-    policy = _decode_policy(spec.get("policy", {"name": "restricted"}))
+    policy = _decode_policy(spec.get("policy", {"name": "restricted"}), workload)
     system = _decode_system(spec.get("system", {}))
 
-    faults = None
-    if spec.get("faults"):
-        if not isinstance(spec["faults"], str):
-            raise ConfigurationError(
-                f"faults: expected an --inject string, got {spec['faults']!r}"
-            )
-        faults = parse_fault_spec(spec["faults"])
+    faults = spec.get("faults")
+    if faults is not None:
+        _checked(faults, _STRING, "faults")
+        try:
+            faults = parse_fault_spec(faults)
+        except FaultError as error:
+            raise ConfigurationError(f"faults: {error}") from None
+        # An empty plan is the fault-free model; one spelling keeps the
+        # round trip key-stable.
+        faults = None if faults.empty else faults
 
     config_kwargs: dict[str, Any] = dict(
         policy=policy, workload=workload, system=system, seed=seed, faults=faults
@@ -233,12 +286,11 @@ def spec_to_task(spec: Any) -> ExperimentTask:
         config_kwargs["fill_fraction"] = spec["fill_fraction"]
     config = ExperimentConfig(**config_kwargs)
 
-    kwargs = dict(_require_mapping(spec.get("kwargs", {}), "kwargs"))
-    _reject_unknown(kwargs, _KWARG_FIELDS[kind], "kwargs")
-    if "audit" in spec and spec["audit"] is not None:
-        audit = _require_mapping(spec["audit"], "audit")
-        _reject_unknown(audit, _AUDIT_FIELDS, "audit")
-        kwargs["audit"] = AuditConfig(**audit)
+    kwargs = dict(_checked(spec.get("kwargs", {}), _OBJECT, "kwargs"))
+    _checked_fields(kwargs, _KWARG_FIELDS[kind], "kwargs")
+    if spec.get("audit") is not None:
+        audit = _checked(spec["audit"], _OBJECT, "audit")
+        kwargs["audit"] = AuditConfig(**_checked_fields(audit, _AUDIT_FIELDS, "audit"))
 
     if kind == "performance":
         return ExperimentTask.performance(config, **kwargs)

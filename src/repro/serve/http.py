@@ -19,8 +19,8 @@ GET      ``/v1/jobs/<key>/events``       SSE stream of progress frames
 POST     ``/v1/chaos/kill-worker``       fault drill (only with ``--chaos``)
 =======  ==============================  =======================================
 
-Error mapping is uniform: malformed specs → 400 with the validator's
-message, admission shed → **429 with a Retry-After header**, unknown
+Error mapping is uniform: malformed specs → 400 with the codec's
+message (the same text the CLI prints), admission shed → **429 with a Retry-After header**, unknown
 job/route → 404, chaos endpoints without the flag → 403.  Every response
 body is JSON.
 
@@ -38,7 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
-from ..errors import ConfigurationError, ReproError, ServiceOverloaded
+from ..errors import ReproError, ServiceOverloaded
 from .service import ExperimentService
 
 #: Largest request body accepted (a sweep of thousands of specs fits).
@@ -145,11 +145,9 @@ class ServeHandler(BaseHTTPRequestHandler):
                 },
                 {"Retry-After": str(max(1, round(error.retry_after_s)))},
             )
-        except ConfigurationError as error:
-            self._send_json(400, {"error": str(error)})
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
-        except ReproError as error:
+        except ReproError as error:  # a malformed spec: the codec's message
             self._send_json(400, {"error": str(error)})
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API

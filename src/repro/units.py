@@ -45,19 +45,23 @@ def parse_size(text: str | int | float) -> int:
     4096
     """
     if isinstance(text, (int, float)):
-        return int(round(text))
-    stripped = text.strip().upper()
-    index = len(stripped)
-    while index > 0 and stripped[index - 1].isalpha():
-        index -= 1
-    number_part, suffix = stripped[:index].strip(), stripped[index:]
-    if suffix not in _SUFFIXES:
-        raise ConfigurationError(f"unknown size suffix {suffix!r} in {text!r}")
+        value, factor = text, 1
+    else:
+        stripped = text.strip().upper()
+        index = len(stripped)
+        while index > 0 and stripped[index - 1].isalpha():
+            index -= 1
+        number_part, suffix = stripped[:index].strip(), stripped[index:]
+        if suffix not in _SUFFIXES:
+            raise ConfigurationError(f"unknown size suffix {suffix!r} in {text!r}")
+        try:
+            value, factor = float(number_part), _SUFFIXES[suffix]
+        except ValueError as exc:
+            raise ConfigurationError(f"cannot parse size {text!r}") from exc
     try:
-        value = float(number_part)
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse size {text!r}") from exc
-    return int(round(value * _SUFFIXES[suffix]))
+        return int(round(value * factor))
+    except (ValueError, OverflowError):  # NaN or an infinity
+        raise ConfigurationError(f"cannot parse size {text!r}") from None
 
 
 def format_size(n_bytes: int) -> str:

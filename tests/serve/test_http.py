@@ -159,6 +159,16 @@ class TestSubmission:
         assert status == 400
         assert "workload" in body["error"]
 
+    def test_mistyped_field_is_400_and_the_daemon_keeps_serving(self, server):
+        bad = spec_for(13, system={"scale": "0.1"})
+        status, _, body = server.request("/v1/experiments", {"spec": bad})
+        assert status == 400
+        assert body == {"error": "system.scale: expected a number, got '0.1'"}
+        status, _, body = server.request(
+            "/v1/experiments", {"spec": spec_for(14), "wait_s": 30}
+        )
+        assert status == 200 and body["status"] == "done"
+
     def test_non_json_body_maps_to_400(self, server):
         request = urllib.request.Request(
             f"{server.base}/v1/experiments", data=b"not json {"

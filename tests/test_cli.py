@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.cli import build_parser, main, make_policy
+from repro.cli import build_parser, main, spec_from_args
 from repro.core.configs import (
     BuddyPolicy,
     ExtentPolicy,
     RestrictedPolicy,
 )
+from repro.serve.codec import spec_to_task
 
 
 class TestParser:
@@ -25,9 +26,12 @@ class TestParser:
         args = build_parser().parse_args(["perf", "--cap-ms", "1000"])
         assert args.cap_ms == 1000.0
 
-    def test_bad_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["alloc", "--policy", "zfs"])
+    def test_bad_policy_rejected(self, capsys):
+        # The codec, not argparse, rejects it: one message for CLI and HTTP.
+        assert main(["alloc", "--policy", "zfs", "--no-cache"]) == 2
+        assert "repro: error: policy.name: expected one of" in (
+            capsys.readouterr().err
+        )
 
     def test_runner_flags(self):
         args = build_parser().parse_args(
@@ -60,9 +64,9 @@ class TestParser:
         assert args.organization == "raid5"
         assert args.inject == "fail:drive=0,at=100"
 
-    def test_perf_rejects_unknown_organization(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "--organization", "raid7"])
+    def test_perf_rejects_unknown_organization(self, capsys):
+        assert main(["perf", "--organization", "raid7", "--no-cache"]) == 2
+        assert "unknown organization 'raid7'" in capsys.readouterr().err
 
     def test_faults_defaults(self):
         args = build_parser().parse_args(["faults"])
@@ -71,32 +75,34 @@ class TestParser:
 
 
 class TestMakePolicy:
-    def args(self, **overrides):
-        defaults = dict(
-            grow_factor=1, unclustered=False, extent_ranges=3, fit="first"
-        )
-        defaults.update(overrides)
-        return type("Args", (), defaults)
+    """Policy flags -> spec -> codec: the workload-aware defaults."""
+
+    def policy(self, *argv):
+        args = build_parser().parse_args(["perf", *argv])
+        return spec_to_task(spec_from_args(args)).config.policy
 
     def test_buddy(self):
-        assert isinstance(make_policy("buddy", "SC", self.args()), BuddyPolicy)
+        assert isinstance(self.policy("--policy", "buddy"), BuddyPolicy)
 
     def test_restricted_options(self):
-        policy = make_policy(
-            "restricted", "SC", self.args(grow_factor=2, unclustered=True)
+        policy = self.policy(
+            "--policy", "restricted", "--grow-factor", "2", "--unclustered"
         )
         assert isinstance(policy, RestrictedPolicy)
         assert policy.grow_factor == 2
         assert not policy.clustered
 
     def test_extent_workload_ranges(self):
-        policy = make_policy("extent", "TS", self.args(extent_ranges=2))
+        policy = self.policy(
+            "--policy", "extent", "--workload", "TS", "--extent-ranges", "2"
+        )
         assert isinstance(policy, ExtentPolicy)
         assert policy.range_means == ("1K", "8K")
 
     def test_fixed_workload_block_size(self):
-        assert make_policy("fixed", "TS", self.args()).block_size == "4K"
-        assert make_policy("fixed", "TP", self.args()).block_size == "16K"
+        fixed = ("--policy", "fixed", "--workload")
+        assert self.policy(*fixed, "TS").block_size == "4K"
+        assert self.policy(*fixed, "TP").block_size == "16K"
 
 
 class TestCommands:
@@ -286,8 +292,8 @@ class TestExitCodes:
     """The docstring contract: library errors → stderr + exit 2."""
 
     def test_configuration_error_exits_2(self, capsys):
-        # grow factor 0 passes argparse but fails policy validation
-        # inside the experiment; main() must catch the ReproError.
+        # grow factor 0 passes argparse; the codec rejects it when the
+        # policy is constructed, before any worker starts.
         code = main(
             [
                 "alloc", "--policy", "restricted", "--grow-factor", "0",
@@ -342,6 +348,37 @@ class TestExitCodes:
         code = main(["alloc", "--scale", "0.03", "--no-cache"])
         assert code == 130
         assert "repro: interrupted" in capsys.readouterr().err
+
+
+class TestSubmitSpecFile:
+    """``submit --spec`` problems are clean errors, found before any POST
+    (port 1 never answers, so a POST would say "cannot reach")."""
+
+    def submit(self, path) -> int:
+        return main(
+            ["submit", "--url", "http://127.0.0.1:1", "--spec", str(path)]
+        )
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        assert self.submit(tmp_path / "absent.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: cannot read spec file")
+        assert "Traceback" not in err
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert self.submit(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: spec file {path} is not JSON")
+
+    def test_spec_is_decoded_before_the_post(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text('{"workload": "XX"}')
+        assert self.submit(path) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: workload: expected TS, TP, or SC, got 'XX'\n"
+        )
 
 
 class TestTraceCommand:

@@ -24,6 +24,11 @@ injected failure:
                      finishes.
 * ``slow-client``  — an SSE subscriber that hangs up mid-stream leaves
                      the daemon healthy.
+* ``malformed``    — the wire form of every malformed CLI input (bad
+                     policy, workload, organization, scale, cap, grow
+                     factor, fit, fault plan, field types) gets 400 with
+                     the codec's own message and never reaches the
+                     ledger; a valid spec then still completes.
 
 Usage::
 
@@ -405,6 +410,56 @@ def drill_slow_client(scratch: Path) -> None:
         daemon.stop()
 
 
+#: Wire forms of malformed ``repro perf`` inputs: edits to a valid spec.
+MALFORMED_EDITS = [
+    {"policy": {"name": "zfs"}},
+    {"workload": "XX"},
+    {"system": {"scale": 0.02, "organization": "raid7"}},
+    {"system": {"scale": -1.0}},
+    {"system": {"scale": "0.1"}},
+    {"system": {"scale": float("nan")}},
+    {"kwargs": {"app_cap_ms": -5.0, "seq_cap_ms": -5.0}},
+    {"kwargs": {"app_cap_ms": 1000.0, "collect_trace": "yes"}},
+    {"policy": {"name": "restricted", "grow_factor": 0}},
+    {"policy": {"name": "extent", "fit": "worst"}},
+    {"policy": {"name": "extent", "range_means": []}},
+    {"faults": "boom:drive=1"},
+    {"seed": "seven"},
+    {"fill_fraction": 0},
+]
+
+
+def drill_malformed(scratch: Path) -> None:
+    """Malformed specs get the codec's 400 and leave no ledger trace."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.errors import ConfigurationError
+    from repro.serve.codec import spec_to_task
+
+    state = scratch / "malformed-state"
+    daemon = Daemon(state)
+    try:
+        for edit in MALFORMED_EDITS:
+            spec = {**spec_for(3, cap_ms=2_000.0), **edit}
+            try:
+                spec_to_task(spec)
+            except ConfigurationError as error:
+                expected = str(error)
+            else:
+                raise ChaosFailure(f"the codec accepts {edit}")
+            status, _, view = request(daemon.base, "/v1/experiments", {"spec": spec})
+            if (status, view) != (400, {"error": expected}):
+                raise ChaosFailure(
+                    f"{edit}: got {status} {view}, expected 400 {expected!r}"
+                )
+        if (state / "ledger.jsonl").read_text():
+            raise ChaosFailure("a malformed spec reached the ledger")
+        view = submit(daemon.base, spec_for(3, cap_ms=2_000.0), wait_s=120)
+        if view["status"] != "done":
+            raise ChaosFailure(f"valid spec after malformed ones: {view}")
+    finally:
+        daemon.stop()
+
+
 DRILLS = {
     "restart": drill_restart,
     "worker-kill": drill_worker_kill,
@@ -413,6 +468,7 @@ DRILLS = {
     "dedup": drill_dedup,
     "overload": drill_overload,
     "slow-client": drill_slow_client,
+    "malformed": drill_malformed,
 }
 
 
