@@ -56,8 +56,11 @@ from typing import Any, Callable
 from ..errors import ConfigurationError
 from ..sim.rng import RandomStream
 
-#: How often (seconds) the supervisor wakes to check deadlines and
-#: worker liveness when no result is ready.
+#: The longest a supervision step blocks when nothing happens.  A
+#: result, a worker death (its pipe reads EOF) or a write to the
+#: caller's wake descriptor ends the wait at once, and deadlines and
+#: backoff expiries shorten it, so this interval only bounds how long
+#: an otherwise idle supervisor goes between liveness checks.
 _POLL_INTERVAL_S = 0.1
 
 
@@ -307,9 +310,16 @@ class WorkerCrew:
         ]
         return min(deadlines) if deadlines else None
 
-    def poll(self, timeout_s: float) -> list[CrewEvent]:
+    def poll(self, timeout_s: float, wake: int | None = None) -> list[CrewEvent]:
         """One supervision step: collect results, reap the dead, enforce
-        deadlines.  Blocks up to ``timeout_s`` waiting for activity."""
+        deadlines.
+
+        Blocks up to ``timeout_s`` (less when a deadline lands sooner)
+        waiting for a busy worker to report or die, or for ``wake`` — a
+        readable file descriptor the caller owns — to become readable.
+        The crew never reads ``wake``: draining it is the caller's job,
+        and it is never reported as a worker.
+        """
         events: list[CrewEvent] = []
         busy = [
             conn
@@ -321,14 +331,17 @@ class WorkerCrew:
         deadline = self.next_deadline()
         if deadline is not None:
             wait = min(wait, max(0.0, deadline - now))
-        if busy:
-            readable = connection_wait(busy, timeout=wait)
+        waitables = busy if wake is None else [*busy, wake]
+        if waitables:
+            readable = connection_wait(waitables, timeout=wait)
         else:
             if wait > 0:
                 time.sleep(wait)
             readable = []
 
         for conn in readable:
+            if conn is wake:
+                continue
             process, assignment = self._workers[conn]
             started = (
                 assignment.deadline - self.timeout_s
@@ -490,18 +503,19 @@ class TaskScheduler:
     # -- one supervision step ------------------------------------------------
 
     def step(
-        self, max_wait_s: float = _POLL_INTERVAL_S
+        self, max_wait_s: float = _POLL_INTERVAL_S, wake: int | None = None
     ) -> list[tuple[int, Any, tuple[str, Any, float]]]:
         """Promote retries, dispatch, poll the crew once; return outcomes.
 
         Blocks at most ``max_wait_s`` (less when a deadline or a backoff
-        expiry lands sooner).  An empty return just means nothing
+        expiry lands sooner, or when ``wake`` becomes readable — see
+        :meth:`WorkerCrew.poll`).  An empty return just means nothing
         finished this step.
         """
         self._promote_ready_retries()
         self._dispatch()
         outcomes: list[tuple[int, Any, tuple[str, Any, float]]] = []
-        for event in self.crew.poll(self._wait_budget(max_wait_s)):
+        for event in self.crew.poll(self._wait_budget(max_wait_s), wake):
             if event.kind == "done":
                 self._outstanding -= 1
                 outcomes.append(

@@ -21,8 +21,10 @@ POST     ``/v1/chaos/kill-worker``       fault drill (only with ``--chaos``)
 
 Error mapping is uniform: malformed specs → 400 with the codec's
 message (the same text the CLI prints), admission shed → **429 with a Retry-After header**, unknown
-job/route → 404, chaos endpoints without the flag → 403.  Every response
-body is JSON.
+job/route → 404, chaos endpoints without the flag → 403.  A body whose
+``Content-Length`` is missing, not a byte count or over 8 MiB is 400/413
+and closes the connection, since its unread bytes must not be parsed as
+the next request.  Every response body is JSON.
 
 The SSE stream follows the ``text/event-stream`` contract: ``event:``/
 ``data:`` blocks, comment keep-alives while idle, and the connection
@@ -34,18 +36,23 @@ queues drop, never block) and is torn down on the first failed write.
 from __future__ import annotations
 
 import json
+import math
+import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
 from ..errors import ReproError, ServiceOverloaded
-from .service import ExperimentService
+from .service import ExperimentService, Job, priority_rank
 
 #: Largest request body accepted (a sweep of thousands of specs fits).
 _MAX_BODY_BYTES = 8 << 20
 
 #: Idle seconds between SSE keep-alive comments.
 _SSE_KEEPALIVE_S = 10.0
+
+#: A job key: the sha256 hex ``cache_key`` that also names its cache file.
+_JOB_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class ServeDaemon(ThreadingHTTPServer):
@@ -89,6 +96,11 @@ class _Reply(Exception):
 
 class ServeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every connection: a reply goes out as a header write
+    # then a body write (and SSE as one write per frame), and Nagle's
+    # algorithm would hold each small second write until the client's
+    # delayed ACK, some 40 ms later.
+    disable_nagle_algorithm = True
     server: ServeDaemon  # narrowed from BaseServer
 
     # -- plumbing ------------------------------------------------------------
@@ -114,24 +126,38 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        try:
+            return self._parse_body()
+        except _Reply:
+            # The body's framing is unknown (or unread): bytes left on
+            # the connection must not be parsed as the next request.
+            self.close_connection = True
+            raise
+
+    def _parse_body(self) -> dict:
+        declared = self.headers.get("Content-Length", "").strip()
+        if declared and not (declared.isascii() and declared.isdecimal()):
+            raise _Reply(
+                400,
+                {"error": f"Content-Length: expected a byte count, got {declared!r}"},
+            )
+        length = int(declared or 0)
+        if length == 0:
             raise _Reply(400, {"error": "a JSON request body is required"})
         if length > _MAX_BODY_BYTES:
             raise _Reply(413, {"error": f"request body over {_MAX_BODY_BYTES} bytes"})
         blob = self.rfile.read(length)
         try:
             body = json.loads(blob)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise _Reply(400, {"error": f"request body is not JSON: {error}"})
         if not isinstance(body, dict):
             raise _Reply(400, {"error": "request body must be a JSON object"})
         return body
 
     def _dispatch(self, method: str) -> None:
-        path = urlparse(self.path).path.rstrip("/")
         try:
-            self._route(method, path)
+            self._route(method)
         except _Reply as reply:
             self._send_json(reply.status, reply.body, reply.headers)
         except ServiceOverloaded as error:
@@ -158,7 +184,11 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     # -- routing -------------------------------------------------------------
 
-    def _route(self, method: str, path: str) -> None:
+    def _route(self, method: str) -> None:
+        try:
+            path = urlparse(self.path).path.rstrip("/")
+        except ValueError as error:  # e.g. an unclosed "[" in the host
+            raise _Reply(400, {"error": f"malformed request target: {error}"})
         if method == "GET" and path == "/healthz":
             self._send_json(200, {"ok": True, **self.service.stats_view()})
         elif method == "GET" and path == "/v1/stats":
@@ -187,11 +217,18 @@ class ServeHandler(BaseHTTPRequestHandler):
             raise _Reply(400, {"error": "body must carry a 'spec' object"})
         priority = body.get("priority", "normal")
         wait_s = body.get("wait_s")
-        if wait_s is not None and not isinstance(wait_s, (int, float)):
-            raise _Reply(400, {"error": f"wait_s: expected a number, got {wait_s!r}"})
+        if wait_s is not None and (
+            isinstance(wait_s, bool)
+            or not isinstance(wait_s, (int, float))
+            or not 0 <= wait_s < math.inf
+        ):
+            raise _Reply(
+                400,
+                {"error": f"wait_s: expected a non-negative number, got {wait_s!r}"},
+            )
         job, how = self.service.submit(spec, priority=priority)
         if wait_s:
-            self.service.wait(job, timeout_s=min(float(wait_s), 600.0))
+            self.service.wait(job, timeout_s=float(min(wait_s, 600.0)))
         view = self.service.job_view(job)
         view["submitted"] = how
         status = 200 if job.finished else 202
@@ -202,7 +239,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         specs = body.get("specs")
         if not isinstance(specs, list) or not specs:
             raise _Reply(400, {"error": "body must carry a non-empty 'specs' array"})
-        priority = body.get("priority", "normal")
+        priority = priority_rank(body.get("priority", "normal"))
         items: list[dict] = []
         accepted = shed = invalid = 0
         for spec in specs:
@@ -245,18 +282,21 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     # -- status + streaming --------------------------------------------------
 
-    def _job_status(self, key: str) -> None:
-        job = self.service.job(key)
+    def _find_job(self, key: str) -> Job:
+        # Anything but a cache key names no job, and must not reach the
+        # result cache as a file name ("../", NUL bytes).
+        job = self.service.job(key) if _JOB_KEY.fullmatch(key) else None
         if job is None:
             raise _Reply(404, {"error": f"no such job: {key}"})
-        self._send_json(200, self.service.job_view(job))
+        return job
+
+    def _job_status(self, key: str) -> None:
+        self._send_json(200, self.service.job_view(self._find_job(key)))
 
     def _stream_events(self, key: str) -> None:
         import queue as queue_mod
 
-        job = self.service.job(key)
-        if job is None:
-            raise _Reply(404, {"error": f"no such job: {key}"})
+        job = self._find_job(key)
         events = self.service.subscribe(job)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")

@@ -17,7 +17,9 @@ thin shell over it, and tests drive it directly.  One service owns:
   :class:`~repro.core.pool.TaskScheduler` driven by a dedicated engine
   thread — the same supervision machinery local sweeps use (wall-clock
   timeouts, crash replacement, deterministic backoff retries), fed
-  incrementally from the network queue.
+  incrementally from the network queue.  The engine is event-driven:
+  it wakes on a worker result, an admission, a drill or a stop (a
+  self-pipe), so a request waits only for its simulation.
 * a **durable ledger** (:mod:`repro.serve.ledger`): every admitted
   request is journaled before it may run, every completion after its
   result is stored.  A SIGKILL'd daemon restarted on the same state
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import queue
 import threading
 import time
@@ -55,6 +58,28 @@ FAILED = "failed"
 
 #: Wire priorities (lower runs first).
 PRIORITIES = {"high": 0, "normal": 1, "low": 2}
+
+
+def priority_rank(priority: Any) -> int:
+    """A wire priority as its heap rank: one of :data:`PRIORITIES`' names,
+    or one of their int ranks (not a bool).
+
+    Raises:
+        ServiceError: anything else (→ HTTP 400).
+    """
+    if isinstance(priority, str) and priority in PRIORITIES:
+        return PRIORITIES[priority]
+    if (
+        isinstance(priority, int)
+        and not isinstance(priority, bool)
+        and priority in PRIORITIES.values()
+    ):
+        return priority
+    raise ServiceError(
+        f"priority: expected one of {', '.join(PRIORITIES)} or an int "
+        f"0-{len(PRIORITIES) - 1}, got {priority!r}"
+    )
+
 
 #: Fallback per-job service-time guess (seconds) before any completions.
 _DEFAULT_SERVICE_S = 5.0
@@ -217,6 +242,11 @@ class ExperimentService:
         self._kill_requests = 0
         self._stop = threading.Event()
         self._engine: threading.Thread | None = None
+        # The engine's self-pipe; open while the engine runs.  The lock
+        # keeps a late nudge from writing to a closed (or reused) fd.
+        self._wake_lock = threading.Lock()
+        self._wake_r: int | None = None
+        self._wake_w: int | None = None
         self.started_at: float | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -258,6 +288,9 @@ class ExperimentService:
                     continue
                 self._jobs[entry.key] = job
         self.started_at = time.monotonic()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._engine = threading.Thread(
             target=self._engine_loop, name="repro-serve-engine", daemon=True
         )
@@ -272,6 +305,7 @@ class ExperimentService:
         recovery guarantees go.
         """
         self._stop.set()
+        self._nudge()
         engine = self._engine
         if engine is not None:
             engine.join(timeout=timeout_s)
@@ -281,6 +315,10 @@ class ExperimentService:
                 # ledger open rather than race its appends; the daemon
                 # is exiting anyway and the journal is fsynced per write.
                 return
+            with self._wake_lock:
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_r = self._wake_w = None
         self.ledger.close()
 
     # -- request path --------------------------------------------------------
@@ -294,15 +332,10 @@ class ExperimentService:
 
         Raises:
             ConfigurationError: the spec is malformed (→ HTTP 400).
+            ServiceError: the priority is not a wire priority (→ HTTP 400).
             ServiceOverloaded: admission budget exhausted (→ HTTP 429).
         """
-        if isinstance(priority, str):
-            if priority not in PRIORITIES:
-                raise ServiceError(
-                    f"priority: expected one of {', '.join(PRIORITIES)}, "
-                    f"got {priority!r}"
-                )
-            priority = PRIORITIES[priority]
+        priority = priority_rank(priority)
         # Validate + canonicalize the spec outside the lock: rebuilding
         # the task computes the cache key and rejects malformed specs.
         task = spec_to_task(spec)
@@ -337,7 +370,8 @@ class ExperimentService:
             self.ledger.accept(key, spec, priority=priority)
             self._jobs[key] = job
             heapq.heappush(self._heap, (priority, next(self._seq), key))
-            return job, "queued"
+        self._nudge()
+        return job, "queued"
 
     def job(self, key: str) -> Job | None:
         """The job for ``key`` — registry first, then the result cache.
@@ -450,6 +484,7 @@ class ExperimentService:
         """
         with self._lock:
             self._kill_requests += 1
+        self._nudge()
 
     # -- engine --------------------------------------------------------------
 
@@ -469,12 +504,36 @@ class ExperimentService:
         try:
             crew.ensure_workers(self.workers)
             while not self._stop.is_set():
+                # Drain before feeding: a submit that races the feed
+                # leaves its byte behind and wakes the next wait instead
+                # of being swallowed.  The step then sleeps until a
+                # worker reports or dies, a nudge lands, or a deadline or
+                # backoff expires; its interval only bounds how often an
+                # idle engine re-checks worker liveness.
+                self._drain_wake()
                 self._feed(scheduler)
                 self._drill(crew)
-                for index, _payload, outcome in scheduler.step(0.05):
+                for index, _payload, outcome in scheduler.step(wake=self._wake_r):
                     self._complete(index, outcome)
         finally:
             crew.shutdown()
+
+    def _nudge(self) -> None:
+        """Wake the engine: one byte on the self-pipe."""
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # the pipe is full: a wake is already pending
+
+    def _drain_wake(self) -> None:
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
 
     def _feed(self, scheduler: TaskScheduler) -> None:
         """Move admitted jobs into the scheduler, at most ``workers`` deep.

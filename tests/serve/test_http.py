@@ -1,14 +1,21 @@
 """Tests for the HTTP front door: submission, status, SSE streaming,
 overload responses, and the chaos endpoint gate."""
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import ExperimentService, make_daemon
+from repro.serve.http import ServeDaemon
 
 from .helpers import drain_gated, emitting_work, scripted_work, spec_for
 
@@ -28,6 +35,13 @@ def server(tmp_path):
         yield bundle
 
 
+@pytest.fixture(scope="module")
+def shared_server(tmp_path_factory):
+    """One daemon for tests that only exercise request rejection."""
+    with running_server(tmp_path_factory.mktemp("shared")) as bundle:
+        yield bundle
+
+
 class running_server:
     def __init__(self, tmp_path, work_fn=scripted_work, chaos=False, **kwargs):
         kwargs.setdefault("workers", 2)
@@ -40,14 +54,18 @@ class running_server:
 
     def __enter__(self):
         self.service.start()
-        self.daemon = make_daemon(self.service, port=0, chaos=self.chaos)
+        self.daemon = self.make_daemon()
         self.thread = threading.Thread(
             target=self.daemon.serve_forever, daemon=True
         )
         self.thread.start()
         host, port = self.daemon.server_address[:2]
         self.base = f"http://{host}:{port}"
+        self.port = port
         return self
+
+    def make_daemon(self):
+        return make_daemon(self.service, port=0, chaos=self.chaos)
 
     def __exit__(self, *exc):
         self.daemon.shutdown()
@@ -69,6 +87,46 @@ class running_server:
                 )
         except urllib.error.HTTPError as error:
             return error.code, dict(error.headers), json.loads(error.read())
+
+
+def raw_exchange(port, request: bytes, half_close=True, timeout=10.0):
+    """Send raw bytes, read until the server closes; parse the first reply.
+
+    Returns ``(status, headers, body, rest)`` with lower-cased header
+    names and ``rest`` the bytes after the first reply.  With
+    ``half_close`` the write side is shut after sending, so bytes the
+    server leaves unread end in EOF instead of waiting for more.  A read
+    that times out means the server kept the connection open.
+    """
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # closed with our unread body still queued: the reply landed
+    head, _, rest = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.lower(): value
+        for name, value in (line.split(": ", 1) for line in lines)
+    }
+    length = int(headers["content-length"])
+    body = json.loads(rest[:length])
+    return int(status_line.split()[1]), headers, body, rest[length:]
+
+
+def raw_request(
+    method: str, target: str, body: bytes = b"", length: str | None = None
+) -> bytes:
+    """A raw request whose Content-Length says ``length`` (or is absent)."""
+    head = f"{method} {target} HTTP/1.1\r\nHost: test\r\n"
+    if length is not None:
+        head += f"Content-Length: {length}\r\n"
+    return head.encode("latin-1") + b"\r\n" + body
 
 
 class TestListenBacklog:
@@ -169,17 +227,92 @@ class TestSubmission:
         )
         assert status == 200 and body["status"] == "done"
 
-    def test_non_json_body_maps_to_400(self, server):
-        request = urllib.request.Request(
-            f"{server.base}/v1/experiments", data=b"not json {"
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"priority": [1]},
+            {"priority": True},
+            {"priority": 1.0},
+            {"priority": 3},
+            {"priority": "urgent"},
+            {"wait_s": True},
+            {"wait_s": float("nan")},
+            {"wait_s": float("inf")},
+            {"wait_s": -1},
+            {"wait_s": "5"},
+        ],
+    )
+    def test_malformed_request_field_maps_to_400(self, shared_server, field):
+        accepted = shared_server.service.stats.accepted
+        status, _, body = shared_server.request(
+            "/v1/experiments", {"spec": spec_for(15), **field}
         )
-        with pytest.raises(urllib.error.HTTPError) as error:
-            urllib.request.urlopen(request, timeout=10)
-        assert error.value.code == 400
+        assert status == 400
+        assert body["error"].startswith(f"{next(iter(field))}: expected")
+        assert shared_server.service.stats.accepted == accepted
+
+    def test_sweep_with_a_malformed_priority_maps_to_400(self, shared_server):
+        status, _, body = shared_server.request(
+            "/v1/sweeps", {"specs": [spec_for(16)], "priority": [1]}
+        )
+        assert status == 400
+        assert body["error"].startswith("priority: expected")
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            (None, 400),
+            ("abc", 400),
+            ("-5", 400),
+            ("1.5", 400),
+            ("0", 400),
+            (str((8 << 20) + 1), 413),
+        ],
+    )
+    def test_bad_content_length_is_answered_and_closes(
+        self, shared_server, length, status
+    ):
+        # The body's framing is unknown, so the server must answer and
+        # hang up rather than parse the body as a second request (the
+        # read below times out if the connection stays open).
+        got, _, body, rest = raw_exchange(
+            shared_server.port,
+            raw_request("POST", "/v1/experiments", b'{"spec": {}}', length),
+            half_close=False,
+        )
+        assert (got, rest) == (status, b"")
+        assert "error" in body
+
+    def test_non_json_body_maps_to_400(self, server):
+        # Nesting past the parser's recursion limit is not JSON either.
+        for data in (b"not json {", b"[" * 50_000):
+            request = urllib.request.Request(
+                f"{server.base}/v1/experiments", data=data
+            )
+            with pytest.raises(urllib.error.HTTPError) as error:
+                urllib.request.urlopen(request, timeout=10)
+            error.value.close()
+            assert error.value.code == 400
 
     def test_unknown_route_and_job_map_to_404(self, server):
         assert server.request("/v1/nope")[0] == 404
         assert server.request("/v1/jobs/ffff")[0] == 404
+
+    def test_job_route_never_reads_outside_the_cache(self, shared_server):
+        # A non-key job name is a 404 before it reaches the cache as a
+        # file name: no traversal, and a NUL byte is not a crash.
+        for target in ("/v1/jobs/../../ledger", "/v1/jobs/a\x00b/events"):
+            status, _, body, _ = raw_exchange(
+                shared_server.port, raw_request("GET", target)
+            )
+            assert status == 404 and body["error"].startswith("no such job")
+
+    def test_malformed_request_target_maps_to_400(self, shared_server):
+        status, _, body, _ = raw_exchange(
+            shared_server.port, raw_request("GET", "http://[test/healthz")
+        )
+        assert status == 400
+        assert body["error"].startswith("malformed request target")
 
 
 class TestOverload:
@@ -312,3 +445,131 @@ class TestHealth:
         assert status == 200
         assert stats["budget"] == server.service.max_queue
         assert "supervision" in stats
+
+    def test_keep_alive_replies_are_not_held_back(self, shared_server):
+        # Headers and body go out as two writes; with Nagle's algorithm
+        # on, the body waits for the client's delayed ACK (~40 ms).
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", shared_server.port, timeout=10
+        )
+        try:
+            times_ms = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                times_ms.append((time.perf_counter() - started) * 1e3)
+        finally:
+            connection.close()
+        assert statistics.median(times_ms) < 15.0, times_ms
+
+
+class RecordingDaemon(ServeDaemon):
+    """A daemon that records every exception that escaped a handler."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.errors = []
+
+    def handle_error(self, request, client_address):
+        import traceback
+
+        self.errors.append(traceback.format_exc())
+
+
+class recording_server(running_server):
+    def make_daemon(self):
+        return RecordingDaemon(("127.0.0.1", 0), self.service)
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(tmp_path_factory):
+    with recording_server(tmp_path_factory.mktemp("fuzz")) as bundle:
+        yield bundle
+
+
+FUZZ_TARGETS = [
+    "/healthz",
+    "/v1/stats",
+    "/v1/experiments",
+    "/v1/sweeps/",
+    "/v1/jobs/" + "ab" * 32,
+    "/v1/jobs/" + "ab" * 32 + "/events",
+    "/v1/jobs/../results",
+    "/v1/chaos/kill-worker",
+    "/v1/nope",
+    "/healthz?verbose=1",
+    "http://test/v1/stats",
+    "http://[test/v1/stats",
+    "/v1/jobs/a\x00b",
+]
+
+#: JSON bodies shaped like requests: real and broken specs and fields.
+REQUEST_BODIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "spec": st.sampled_from(
+            [spec_for(1), spec_for(2), {"workload": "XX"}, [], 7]
+        ),
+        "specs": st.lists(st.sampled_from([spec_for(3), {}]), max_size=2),
+        "priority": st.one_of(
+            st.sampled_from(["high", "low", "bogus"]),
+            st.integers(-1, 3),
+            st.booleans(),
+            st.none(),
+            st.lists(st.integers(0, 2), max_size=1),
+        ),
+        "wait_s": st.one_of(
+            st.floats(max_value=2.0),
+            st.sampled_from([float("nan"), float("inf")]),
+            st.integers(-2, 2),
+            st.booleans(),
+            st.text(max_size=2),
+        ),
+    },
+).map(lambda body: json.dumps(body).encode())
+
+#: Content-Length header values that are not a byte count.
+NON_NUMERIC = st.text(
+    st.characters(min_codepoint=0x21, max_codepoint=0x7E) | st.sampled_from("²½é"),
+    min_size=1,
+    max_size=6,
+).filter(lambda value: not (value.isascii() and value.isdecimal()))
+
+
+@st.composite
+def framed_requests(draw):
+    method = draw(st.sampled_from(["GET", "POST"]))
+    target = draw(st.sampled_from(FUZZ_TARGETS))
+    body = draw(st.one_of(st.binary(max_size=48), REQUEST_BODIES))
+    case = draw(
+        st.sampled_from(
+            ["exact", "missing", "non-numeric", "negative", "oversize", "short"]
+        )
+    )
+    length = {
+        "exact": lambda: str(len(body)),
+        "missing": lambda: None,
+        "non-numeric": lambda: draw(NON_NUMERIC),
+        "negative": lambda: str(-draw(st.integers(1, 1 << 40))),
+        "oversize": lambda: str((8 << 20) + draw(st.integers(1, 1 << 40))),
+        "short": lambda: str(max(0, len(body) - draw(st.integers(1, 8)))),
+    }[case]()
+    return raw_request(method, target, body, length)
+
+
+class TestRequestFramingFuzz:
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(request=framed_requests())
+    def test_every_request_gets_a_json_reply(self, fuzz_server, request):
+        status, headers, body, _ = raw_exchange(fuzz_server.port, request)
+        assert status in {200, 202, 400, 403, 404, 413, 429}, (status, body)
+        assert headers["content-type"] == "application/json"
+        assert isinstance(body, dict)
+        assert fuzz_server.daemon.errors == []

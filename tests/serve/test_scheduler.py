@@ -2,6 +2,7 @@
 deterministic retry/backoff schedule satellites."""
 
 import os
+import threading
 import time
 
 from repro.core.pool import (
@@ -156,3 +157,68 @@ class TestWorkerCrew:
                 alive = False
             assert not alive
         crew.shutdown()  # idempotent
+
+
+
+class TestWakeDescriptor:
+    """``poll``/``step`` return as soon as the caller's wake fd is written,
+    and the fd is never mistaken for a worker."""
+
+    def poll_until_woken(self, poll) -> list:
+        """Run ``poll(fd)`` while another thread writes ``fd`` after 0.1 s."""
+        read_fd, write_fd = os.pipe()
+        written: list[float] = []
+
+        def write_later():
+            time.sleep(0.1)
+            written.append(time.monotonic())
+            os.write(write_fd, b"x")
+
+        writer = threading.Thread(target=write_later)
+        try:
+            writer.start()
+            events = poll(read_fd)
+            returned = time.monotonic()
+            writer.join(timeout=5.0)
+            assert os.read(read_fd, 16) == b"x"  # left for the caller
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        assert written and returned - written[0] < 0.5
+        return events
+
+    def test_idle_crew_wakes_on_the_descriptor(self):
+        crew = WorkerCrew(quick)
+        try:
+            crew.ensure_workers(1)
+            events = self.poll_until_woken(
+                lambda fd: crew.poll(timeout_s=5, wake=fd)
+            )
+            assert events == []
+            assert crew.size == 1 and crew.busy == 0
+        finally:
+            crew.shutdown()
+
+    def test_busy_crew_wakes_on_the_descriptor(self):
+        crew = WorkerCrew(slow_if_zero)  # payload 0 sleeps for minutes
+        try:
+            crew.ensure_workers(1)
+            assert crew.try_assign(0, 0)
+            events = self.poll_until_woken(
+                lambda fd: crew.poll(timeout_s=5, wake=fd)
+            )
+            assert events == []
+            assert crew.busy == 1  # the sleeper is still in flight
+        finally:
+            crew.kill_one()
+            crew.shutdown()
+
+    def test_scheduler_step_passes_the_descriptor_through(self):
+        scheduler = TaskScheduler(WorkerCrew(quick))
+        try:
+            events = self.poll_until_woken(
+                lambda fd: scheduler.step(max_wait_s=5, wake=fd)
+            )
+            assert events == []
+        finally:
+            scheduler.crew.shutdown()

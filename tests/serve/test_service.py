@@ -2,12 +2,14 @@
 crash recovery through the ledger, and bit-identical results."""
 
 import os
+import statistics
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import ConfigurationError, ServiceOverloaded
+from repro.errors import ConfigurationError, ServiceError, ServiceOverloaded
 from repro.serve import ExperimentService, RunLedger, result_digest
 from repro.serve.service import DONE, FAILED
 
@@ -118,6 +120,101 @@ class TestAdmissionControl:
             assert service.stats.accepted == 0
         finally:
             service.stop()
+
+    @pytest.mark.parametrize(
+        "priority", [[1], True, 1.0, 3, -1, None, "urgent", {"rank": 0}]
+    )
+    def test_non_wire_priority_is_rejected_before_admission(
+        self, tmp_path, priority
+    ):
+        service = make_service(tmp_path)
+        with pytest.raises(ServiceError, match="^priority: expected one of"):
+            service.submit(spec_for(20), priority=priority)
+        assert service.stats.accepted == 0
+        assert service._heap == []
+
+    @pytest.mark.parametrize(
+        "priority, rank", [("high", 0), ("low", 2), (0, 0), (2, 2)]
+    )
+    def test_wire_priorities_are_names_or_ranks(self, tmp_path, priority, rank):
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            job, how = service.submit(spec_for(21), priority=priority)
+            assert (how, job.priority) == ("queued", rank)
+            wait_done(service, job)
+        finally:
+            service.stop()
+
+
+class TestEventDrivenEngine:
+    """The engine wakes on admission and stop instead of on a timer."""
+
+    def test_admitted_job_starts_without_waiting_for_a_poll_step(
+        self, tmp_path
+    ):
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            wait_done(service, service.submit(spec_for(1))[0])  # workers up
+            time.sleep(0.3)  # let the engine settle into an idle wait
+            queued_ms = []
+            for seed in range(2, 12):
+                job, how = service.submit(spec_for(seed))
+                assert how == "queued"
+                wait_done(service, job)
+                queued_ms.append((job.started_s - job.submitted_s) * 1e3)
+            assert statistics.median(queued_ms) < 10.0, queued_ms
+        finally:
+            service.stop()
+
+    def test_concurrent_submitters_all_complete(self, tmp_path):
+        # More submitting threads than cores, switching often, racing
+        # the engine's drain-then-feed: every admission must be run.
+        service = make_service(tmp_path)
+        service.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs, errors = [], []
+            lock = threading.Lock()
+
+            def submit_and_wait(first_seed):
+                try:
+                    for seed in range(first_seed, first_seed + 5):
+                        job, _ = service.submit(spec_for(seed))
+                        assert service.wait(job, timeout_s=20.0)
+                        with lock:
+                            jobs.append(job)
+                except Exception as error:  # noqa: BLE001 - reported below
+                    with lock:
+                        errors.append(repr(error))
+
+            threads = [
+                threading.Thread(target=submit_and_wait, args=(100 + 10 * i,))
+                for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert errors == []
+        assert len(jobs) == 40 and all(job.state == DONE for job in jobs)
+        assert service.stats.executed == 40
+
+    def test_stop_joins_the_engine_promptly(self, tmp_path):
+        service = make_service(tmp_path)
+        service.start()
+        wait_done(service, service.submit(spec_for(1))[0])
+        time.sleep(0.3)
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 0.5
+        assert service._wake_w is None  # the self-pipe is closed
 
 
 class TestFailureSemantics:

@@ -29,6 +29,9 @@ injected failure:
                      factor, fit, fault plan, field types) gets 400 with
                      the codec's own message and never reaches the
                      ledger; a valid spec then still completes.
+* ``latency``      — cache hits over one keep-alive connection are
+                     answered in milliseconds: no reply waits for the
+                     client's delayed ACK (Nagle's algorithm).
 
 Usage::
 
@@ -44,13 +47,16 @@ import argparse
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
+from urllib.parse import urlsplit
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -460,6 +466,43 @@ def drill_malformed(scratch: Path) -> None:
         daemon.stop()
 
 
+def drill_latency(scratch: Path) -> None:
+    """Keep-alive cache hits come back in milliseconds, not after ~40 ms."""
+    daemon = Daemon(scratch / "latency-state")
+    try:
+        spec = spec_for(9, cap_ms=2_000.0)
+        submit(daemon.base, spec, wait_s=120)  # every later POST is a hit
+        address = urlsplit(daemon.base)
+        connection = HTTPConnection(address.hostname, address.port, timeout=30)
+        body = json.dumps({"spec": spec}).encode()
+        times_ms = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request(
+                    "POST",
+                    "/v1/experiments",
+                    body,
+                    {"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                view = json.loads(response.read())
+                times_ms.append((time.perf_counter() - started) * 1e3)
+                if response.status != 200 or view.get("submitted") != "done":
+                    raise ChaosFailure(
+                        f"expected a cache hit, got {response.status}: {view}"
+                    )
+        finally:
+            connection.close()
+        median = statistics.median(times_ms)
+        if median >= 15.0:
+            raise ChaosFailure(
+                f"median keep-alive cache hit took {median:.1f} ms (limit 15 ms)"
+            )
+    finally:
+        daemon.stop()
+
+
 DRILLS = {
     "restart": drill_restart,
     "worker-kill": drill_worker_kill,
@@ -469,6 +512,7 @@ DRILLS = {
     "overload": drill_overload,
     "slow-client": drill_slow_client,
     "malformed": drill_malformed,
+    "latency": drill_latency,
 }
 
 
