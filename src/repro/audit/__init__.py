@@ -12,8 +12,9 @@ Three layers, built on the same sampling cadence:
   first diverging event.
 
 All of it defaults off: a simulator without an attached auditor runs
-the exact same fused loop at the same speed as one predating this
-package (``tools/check_overhead.py`` enforces the claim in CI).
+the engine's one run loop with no per-event audit call, at the same
+speed as one predating this package (``tools/check_overhead.py``
+enforces the claim in CI).
 """
 
 from .bisect import DivergenceReport, bisect_divergence, compare_timelines

@@ -74,8 +74,8 @@ class InvariantAuditor:
     """Pluggable per-subsystem checks plus the fingerprint timeline.
 
     Attach with ``sim.auditor = auditor`` (or :meth:`attach`), register
-    subsystems with :meth:`observe`, and the engine's audited run loop
-    calls :meth:`after_event` once per executed event.  Call
+    subsystems with :meth:`observe`, and the engine's run loop calls
+    :meth:`after_event` once per executed event.  Call
     :meth:`finish` when the experiment freezes for the final sweep.
     """
 
@@ -144,7 +144,7 @@ class InvariantAuditor:
     # -- engine hook ---------------------------------------------------------
 
     def after_event(self, sim) -> None:
-        """Called by the audited run loop after every executed event."""
+        """Called by the run loop after every executed event."""
         self.event_index += 1
         index = self.event_index
         if self.perturb_at is not None and index == self.perturb_at:

@@ -32,6 +32,7 @@ import argparse
 import cProfile
 import io
 import json
+import os
 import pstats
 import sys
 import time
@@ -301,14 +302,51 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one performance-experiment point: cProfile + engine counters.
+def _package_times(stats: pstats.Stats) -> dict[str, dict[str, float]]:
+    """Sum a cProfile run's self time and calls by ``repro`` package.
 
-    Prints three sections: the engine's own per-subsystem event/time
-    breakdown (:class:`repro.sim.engine.SimProfile`), the scheduler
-    counters (events/sec, pending, lazy-compaction count), and cProfile's
-    hottest functions.  This is a diagnostic command — output contains
-    wall-clock timings and is not byte-stable between runs.
+    A function's package is its first path component under ``repro/``
+    (``sim``, ``disk``, ...; a top-level module counts as its own).  A
+    function outside the package (stdlib, or a builtin such as
+    ``heappop``) is charged to its direct callers' packages with the
+    per-caller time pstats records; what callers outside the package
+    spent goes to ``other``, so the rows sum to the profile total.
+    Returns ``{package: {"calls": n, "seconds": s}}``.
+    """
+    root = str(Path(__file__).resolve().parent) + os.sep
+    layers: dict[str, dict[str, float]] = {}
+
+    def charge(filename: str, calls: int, seconds: float) -> None:
+        name = "other"
+        if filename.startswith(root):
+            name = filename[len(root):].split(os.sep, 1)[0].removesuffix(".py")
+        row = layers.setdefault(name, {"calls": 0, "seconds": 0.0})
+        row["calls"] += calls
+        row["seconds"] += seconds
+
+    for (filename, _, _), (_, calls, seconds, _, callers) in stats.stats.items():
+        if filename.startswith(root):
+            charge(filename, calls, seconds)
+            continue
+        for (caller, _, _), (caller_calls, _, spent, _) in callers.items():
+            charge(caller, caller_calls, spent)
+            seconds -= spent
+        charge("", 0, seconds)  # time no caller accounts for
+    return layers
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    """Profile one performance-experiment point under cProfile.
+
+    Prints the scheduler counters (events/sec, pending, lazy-compaction
+    count), cProfile's self time summed by ``repro`` package (see
+    :func:`_package_times`), and its hottest functions.  cProfile
+    charges its per-call overhead to whichever layer makes the calls,
+    so call-heavy layers read high (on a TS point ``alloc`` reads about
+    55 % here against 23 % in the traced pass of ``benchmarks/e2e``,
+    which stays the record for layer shares).  This is a diagnostic
+    command — output contains wall-clock timings and is not byte-stable
+    between runs.
     """
     task = spec_to_task(spec_from_args(args))
     config = task.config
@@ -316,7 +354,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     def factory() -> Simulator:
         sim = Simulator()
-        sim.enable_profiling()
         sims.append(sim)
         return sim
 
@@ -329,6 +366,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     profiler.disable()
     wall_s = time.perf_counter() - started
     sim = sims[0]
+    stream = io.StringIO()
+    stats = pstats.Stats(profiler, stream=stream)
+    layers = _package_times(stats)
 
     if args.json:
         document = {
@@ -341,7 +381,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "compactions": sim.compactions,
             "application_percent": result.application.percent,
             "sequential_percent": result.sequential.percent,
-            "subsystems": sim.profile.as_dict(),
+            "layers": layers,
         }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -358,16 +398,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"sequential {result.sequential.percent:.1f}% of max bandwidth"
     )
     print()
-    print("-- engine: per-subsystem event/time breakdown --")
-    print(sim.profile.render())
+    print("-- cProfile: self time by package --")
+    total_s = stats.total_tt
+    print(f"{'package':12s} {'calls':>14s} {'seconds':>10s} {'share':>7s}")
+    for name, row in sorted(layers.items(), key=lambda item: -item[1]["seconds"]):
+        seconds = row["seconds"]
+        share = seconds / total_s if total_s else 0.0
+        print(f"{name:12s} {row['calls']:>14,d} {seconds:>10.3f} {share:>7.1%}")
+    print(f"{'total':12s} {stats.total_calls:>14,d} {total_s:>10.3f}")
     print()
     limit = args.limit if args.limit is not None else args.top
     label = (
         "internal time" if args.sort == "tottime" else "cumulative time"
     )
     print(f"-- cProfile: top {limit} functions by {label} --")
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats(args.sort).print_stats(limit)
     print(stream.getvalue().rstrip())
     return 0
@@ -687,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="profile one perf point: cProfile + engine subsystem counters",
+        help="profile one perf point: cProfile by package + engine counters",
     )
     add_spec_args(profile, cap_ms=20_000.0)
     profile.add_argument("--sort", choices=("tottime", "cumtime"),
@@ -700,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=12,
                          help="cProfile rows to print")
     profile.add_argument("--json", action="store_true",
-                         help="print engine counters and the per-subsystem "
+                         help="print engine counters and the per-package "
                               "breakdown as JSON (no cProfile text)")
     profile.set_defaults(func=cmd_profile)
 

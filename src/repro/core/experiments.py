@@ -414,9 +414,9 @@ def run_performance_experiment(
     → short timed warm-up → application test to stabilization → switch
     every user to whole-file operations → sequential test.
 
-    ``simulator_factory`` lets callers supply the engine — e.g. one with
-    profiling enabled (``repro profile``) or with the zero-delay fast
-    path disabled (the determinism regression tests).  The factory must
+    ``simulator_factory`` lets callers supply the engine — e.g. one they
+    keep a handle on to read its counters (``repro profile``) or one with
+    the zero-delay fast path disabled (the determinism regression tests).  The factory must
     return a fresh :class:`Simulator`; results are identical whichever
     engine variant it builds.
 

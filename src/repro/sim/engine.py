@@ -34,7 +34,6 @@ order.
 
 from __future__ import annotations
 
-import time as _time
 from heapq import heappop as _heappop
 from typing import Any, Callable, Generator, Iterable
 
@@ -210,68 +209,6 @@ class Process(Waitable):
         return f"<Process {self.name} {state}>"
 
 
-class SimProfile:
-    """Per-subsystem event counts and wall-clock time.
-
-    Populated by :meth:`Simulator.run` when profiling is enabled: each
-    executed event is attributed to the module that defined its callback
-    (``repro.disk.queue``, ``repro.sim.engine``, ...), giving a live
-    breakdown of where simulation wall-clock time goes without external
-    tooling.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self) -> None:
-        #: module name -> [events executed, wall seconds in callbacks]
-        self.data: dict[str, list[float]] = {}
-
-    def record(self, callback: Callable[..., Any], seconds: float) -> None:
-        """Attribute one executed event to the callback's module."""
-        module = getattr(callback, "__module__", None) or "<unknown>"
-        entry = self.data.get(module)
-        if entry is None:
-            entry = self.data[module] = [0, 0.0]
-        entry[0] += 1
-        entry[1] += seconds
-
-    @property
-    def total_events(self) -> int:
-        """Events recorded across all subsystems."""
-        return int(sum(entry[0] for entry in self.data.values()))
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall-clock seconds spent inside event callbacks."""
-        return sum(entry[1] for entry in self.data.values())
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """JSON-safe snapshot: ``{subsystem: {"events": n, "seconds": s}}``."""
-        return {
-            name: {"events": int(n), "seconds": s}
-            for name, (n, s) in sorted(self.data.items())
-        }
-
-    def rows(self) -> list[tuple[str, int, float]]:
-        """(subsystem, events, seconds) rows, most expensive first."""
-        return sorted(
-            ((name, int(n), s) for name, (n, s) in self.data.items()),
-            key=lambda row: row[2],
-            reverse=True,
-        )
-
-    def render(self) -> str:
-        """Human-readable table of the per-subsystem breakdown."""
-        lines = [f"{'subsystem':32s} {'events':>12s} {'seconds':>10s}"]
-        for name, events, seconds in self.rows():
-            lines.append(f"{name:32s} {events:>12,d} {seconds:>10.3f}")
-        lines.append(
-            f"{'total':32s} {self.total_events:>12,d} "
-            f"{self.total_seconds:>10.3f}"
-        )
-        return "\n".join(lines)
-
-
 class Simulator:
     """The simulation clock and scheduler.
 
@@ -283,8 +220,6 @@ class Simulator:
 
     Attributes:
         now: current simulated time in milliseconds.
-        profile: a :class:`SimProfile` when profiling is enabled
-            (:meth:`enable_profiling`), else None.
     """
 
     def __init__(self, immediate_queue: bool = True) -> None:
@@ -301,7 +236,6 @@ class Simulator:
         else:
             self._push_immediate = self._heap.push
         self._push_timer = self._heap.push
-        self.profile: SimProfile | None = None
         #: Observability attachment points (:mod:`repro.obs`).  ``None``
         #: (the default) is the disabled fast path: instrumented
         #: subsystems guard every recording behind an ``is not None``
@@ -311,9 +245,10 @@ class Simulator:
         self.tracer = None
         self.metrics = None
         #: State-integrity attachment point (:mod:`repro.audit`).  Like
-        #: the observability slots, ``None`` keeps the fused run loop
-        #: untouched; an attached auditor switches :meth:`run` onto a
-        #: per-event loop that sweeps invariants and fingerprints.
+        #: the observability slots, ``None`` keeps the run loop
+        #: untouched; an attached auditor is folded into :meth:`run`'s
+        #: per-event stop check, where it sweeps invariants and
+        #: fingerprints.
         self.auditor = None
         #: Fault-hook subscribers (see :meth:`on_fault`); empty for every
         #: fault-free simulation, so the hot path never touches them.
@@ -401,13 +336,22 @@ class Simulator:
         Stops when no live events remain, when the clock would pass
         ``until`` (the clock is then advanced to exactly ``until``), when
         ``stop_when()`` returns True after an event executes, or when
-        :meth:`stop` is called from inside an event.
+        :meth:`stop` is called from inside an event.  An attached
+        ``auditor`` sees each event before ``stop_when`` is consulted.
         """
         self._stopped = False
-        if self.profile is not None:
-            return self._run_profiled(until, stop_when)
-        if self.auditor is not None:
-            return self._run_audited(until, stop_when)
+        auditor = self.auditor
+        if auditor is not None:
+            # The auditor rides the per-event stop check, so an audited
+            # run fires the same events through the same loop: callback,
+            # count, audit, then the caller's own condition.
+            user_stop = stop_when
+
+            def audited_stop() -> bool:
+                auditor.after_event(self)
+                return user_stop is not None and user_stop()
+
+            stop_when = audited_stop
         heap = self._heap
         # The two event queues, aliased for the duration of the loop.
         # EventHeap._compact mutates the heap list in place, so these
@@ -415,7 +359,7 @@ class Simulator:
         heap_list = heap._heap
         immediate = heap._immediate
         horizon = float("inf") if until is None else until
-        executed = 0
+        popped = 0
         try:
             while not self._stopped:
                 # -- fused "what fires next" (mirrors EventHeap.pop_next;
@@ -451,6 +395,7 @@ class Simulator:
                     event = head[2]
                 else:
                     break
+                popped += 1
                 event_time = event.time
                 if event_time < self.now:
                     raise SimulationError(
@@ -458,103 +403,27 @@ class Simulator:
                     )
                 self.now = event_time
                 event.callback(self, *event.args)
-                executed += 1
+                # Live, not batched: telemetry frames and fingerprints
+                # read it from inside the run.
+                self._events_executed += 1
                 if stop_when is not None and stop_when():
                     return
         finally:
-            # Nothing in the simulation reads these mid-run; batching the
-            # counters keeps two attribute RMWs out of the per-event loop.
-            # (heap._live is read mid-run only by the cancellation
-            # underflow guard, where a transiently high count is harmless,
-            # and the compaction trigger compares against the raw heap
-            # list, not the live count.)
-            self._events_executed += executed
-            heap._live -= executed
+            # heap._live is batched: mid-run it is read only by the
+            # cancellation underflow guard, where a transiently high count
+            # is harmless, and the compaction trigger compares against the
+            # raw heap list, not the live count.  Counting pops rather
+            # than completed callbacks keeps it exact when one raises.
+            heap._live -= popped
         if until is not None and not self._stopped:
             if len(heap) > 0:
                 self.now = until  # next event lies beyond the horizon
             else:
                 self.now = max(self.now, until)
 
-    def _run_profiled(
-        self,
-        until: float | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> None:
-        """The run loop with per-subsystem accounting (see :class:`SimProfile`)."""
-        heap = self._heap
-        profile = self.profile
-        perf_counter = _time.perf_counter
-        while not self._stopped:
-            event = heap.pop_next(until)
-            if event is None:
-                break
-            if event.time < self.now:
-                raise SimulationError(
-                    "event heap returned an event in the past"
-                )
-            self.now = event.time
-            callback = event.callback
-            started = perf_counter()
-            callback(self, *event.args)
-            profile.record(callback, perf_counter() - started)
-            self._events_executed += 1
-            if stop_when is not None and stop_when():
-                return
-        if until is not None and not self._stopped:
-            if len(heap) > 0:
-                self.now = until
-            else:
-                self.now = max(self.now, until)
-
-    def _run_audited(
-        self,
-        until: float | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> None:
-        """The run loop with per-event invariant/fingerprint sweeping.
-
-        Structured like :meth:`_run_profiled`: one event per
-        ``pop_next`` with the auditor consulted after each callback.
-        The auditor decides internally whether this event lands on its
-        sweep cadence, so most events cost one method call.  Fires the
-        exact same event sequence as the fused loop.
-        """
-        heap = self._heap
-        auditor = self.auditor
-        while not self._stopped:
-            event = heap.pop_next(until)
-            if event is None:
-                break
-            if event.time < self.now:
-                raise SimulationError(
-                    "event heap returned an event in the past"
-                )
-            self.now = event.time
-            event.callback(self, *event.args)
-            self._events_executed += 1
-            auditor.after_event(self)
-            if stop_when is not None and stop_when():
-                return
-        if until is not None and not self._stopped:
-            if len(heap) > 0:
-                self.now = until
-            else:
-                self.now = max(self.now, until)
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
-
-    def enable_profiling(self) -> SimProfile:
-        """Attach (or return the existing) per-subsystem profile.
-
-        Profiling adds two clock reads per event, so leave it off for
-        measurement runs; results are unaffected either way.
-        """
-        if self.profile is None:
-            self.profile = SimProfile()
-        return self.profile
 
     @property
     def pending_events(self) -> int:

@@ -4,6 +4,8 @@ import io
 
 import pytest
 
+from repro.core.configs import ExperimentConfig, ExtentPolicy, SystemConfig
+from repro.core.experiments import run_performance_experiment
 from repro.obs.telemetry import (
     SweepTelemetry,
     emit,
@@ -147,3 +149,20 @@ class TestSweepTelemetry:
         for i in range(5):
             view.on_frame(0, progress_frame("a", float(i)))
         assert view.frames_seen == 5
+
+
+class TestPhaseFrames:
+    def test_events_advance_within_each_phase(self):
+        frames = []
+        install_emitter(frames.append)
+        config = ExperimentConfig(
+            policy=ExtentPolicy(),
+            workload="SC",
+            system=SystemConfig(scale=0.05),
+            seed=1991,
+        )
+        run_performance_experiment(config, app_cap_ms=60_000.0, seq_cap_ms=60_000.0)
+        for stage in ("application", "sequential"):
+            counts = [f["events"] for f in frames if f["stage"] == stage]
+            assert len(counts) >= 3
+            assert all(a < b for a, b in zip(counts, counts[1:])), counts

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.audit.invariants import AuditConfig, InvariantAuditor
 from repro.errors import SimulationError
 from repro.sim.engine import AllOf, Simulator, Waitable
 
@@ -299,48 +300,95 @@ class TestOrderingProperty:
         ]
 
 
-class TestProfiling:
-    def test_profile_attributes_events_to_callback_modules(self):
-        sim = Simulator()
-        sim.enable_profiling()
+def _quiet_auditor() -> InvariantAuditor:
+    """A real auditor with no subsystems and no sweeps due."""
+    return InvariantAuditor(AuditConfig(cadence_events=10**9))
 
-        def tick(s):
-            if s.now < 10.0:
-                s.schedule(1.0, tick)
 
-        def chain():
-            for _ in range(4):
-                yield 0.5
+def _schedule_pinger(sim, log, limit=50):
+    def pinger(s, n=0):
+        log.append((s.now, n))
+        if n < limit:
+            s.schedule(0.25 if n % 3 else 0.0, pinger, n + 1)
 
-        sim.schedule(0.0, tick)
-        sim.process(chain())
-        sim.run()
-        profile = sim.profile
-        assert profile is not None
-        assert profile.total_events == sim.events_executed
-        assert profile.total_seconds >= 0.0
-        modules = {name for name, _, _ in profile.rows()}
-        # tick lives here; the process trampoline lives in the engine.
-        assert __name__ in modules
-        assert "repro.sim.engine" in modules
-        rendered = profile.render()
-        assert "subsystem" in rendered
-        assert "total" in rendered
+    sim.schedule(0.0, pinger)
 
-    def test_profiled_run_matches_unprofiled_results(self):
-        logs = []
-        for profiled in (False, True):
+
+class TestAuditedRun:
+    """The auditor rides the one run loop's per-event stop check."""
+
+    def test_audited_run_matches_plain_run(self):
+        runs = []
+        for audited in (False, True):
             sim = Simulator()
-            if profiled:
-                sim.enable_profiling()
+            if audited:
+                _quiet_auditor().attach(sim)
             log = []
-
-            def pinger(s, n=0):
-                log.append((s.now, n))
-                if n < 50:
-                    s.schedule(0.25 if n % 3 else 0.0, pinger, n + 1)
-
-            sim.schedule(0.0, pinger)
+            _schedule_pinger(sim, log)
             sim.run()
-            logs.append((log, sim.events_executed, sim.now))
-        assert logs[0] == logs[1]
+            runs.append((log, sim.events_executed, sim.now))
+        assert runs[0] == runs[1]
+
+    def test_user_stop_when_honoured_with_auditor(self):
+        sim = Simulator()
+        auditor = _quiet_auditor().attach(sim)
+        log = []
+        _schedule_pinger(sim, log)
+        sim.run(stop_when=lambda: len(log) >= 7)
+        assert len(log) == 7
+        assert sim.events_executed == 7
+        assert auditor.event_index == 7
+
+    def test_event_index_tracks_events_executed_across_segments(self):
+        sim = Simulator()
+        auditor = _quiet_auditor().attach(sim)
+        _schedule_pinger(sim, [])
+        for until in (2.0, 4.5, 7.25):
+            sim.run(until=until)
+            assert sim.now == until
+            assert auditor.event_index == sim.events_executed
+        sim.run()
+        assert auditor.event_index == sim.events_executed == 51
+
+    def test_perturb_at_fires_at_its_event(self):
+        sim = Simulator()
+        auditor = _quiet_auditor().attach(sim)
+        fired = []
+        auditor.perturb_at = 12
+        auditor.perturb = lambda s: fired.append(s.events_executed)
+        _schedule_pinger(sim, [])
+        sim.run()
+        assert fired == [12]
+        assert auditor.perturb_at is None
+
+    def test_events_executed_is_live_inside_callbacks(self):
+        sim = Simulator()
+        seen = []
+        for delay in (1.0, 2.0, 2.0, 3.0):
+            sim.schedule(delay, lambda s: seen.append(s.events_executed))
+        sim.run()
+        assert seen == [0, 1, 2, 3]
+        assert sim.events_executed == 4
+
+
+class TestRaisingCallback:
+    @pytest.mark.parametrize("immediate_queue", [True, False])
+    @pytest.mark.parametrize("audited", [False, True])
+    def test_pending_events_exact_after_raise(self, immediate_queue, audited):
+        sim = Simulator(immediate_queue=immediate_queue)
+        if audited:
+            _quiet_auditor().attach(sim)
+
+        def boom(s):
+            raise RuntimeError("boom")
+
+        sim.schedule(0.0, lambda s: None)
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, lambda s: None)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert sim.pending_events == len(sim._heap.live_events()) == 1
+        assert sim.events_executed == 1
+        sim.run()  # the survivor still fires, and the count reaches 0
+        assert sim.pending_events == 0
+        assert sim.now == 2.0

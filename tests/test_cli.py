@@ -156,9 +156,12 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "events/sec" in out
-        assert "per-subsystem event/time breakdown" in out
-        assert "repro.disk.queue" in out
-        assert "cProfile" in out
+        assert "cProfile: self time by package" in out
+        table = out.split("self time by package --\n", 1)[1].split("\n\n", 1)[0]
+        packages = {line.split()[0] for line in table.splitlines()[1:]}
+        assert {"sim", "disk", "workload", "total"} <= packages
+        assert "repro.sim.engine" not in out.split("-- cProfile: top", 1)[0]
+        assert "cProfile: top 12 functions" in out
 
     def test_profile_sort_and_limit_flags(self, capsys):
         code = main(
@@ -461,16 +464,33 @@ class TestTraceCommand:
 
 
 class TestProfileJson:
-    def test_profile_json_document(self, capsys):
+    def test_profile_json_document(self, capsys, monkeypatch):
         import json
+        import pstats
 
+        totals = []
+
+        class RecordingStats(pstats.Stats):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                totals.append(self.total_tt)
+
+        monkeypatch.setattr(pstats, "Stats", RecordingStats)
         code = main(
             [
                 "profile", "--scale", "0.03", "--cap-ms", "4000", "--json",
             ]
         )
         assert code == 0
-        document = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert "cProfile" not in out
+        document = json.loads(out)
         assert document["events_executed"] > 0
-        assert "repro.disk.queue" in document["subsystems"]
-        assert "cProfile" not in capsys.readouterr().out
+        assert "subsystems" not in document
+        layers = document["layers"]
+        assert {"sim", "disk", "workload"} <= set(layers)
+        assert not any(name.startswith("repro.") for name in layers)
+        assert layers["sim"]["calls"] > 0
+        (total,) = totals
+        seconds = sum(row["seconds"] for row in layers.values())
+        assert seconds == pytest.approx(total, rel=0.01)
