@@ -13,7 +13,19 @@ from benchmarks.micro.__main__ import main as micro_main
 
 
 def test_registry_names():
-    assert set(BENCHMARKS) == {"engine_loop", "disk_service", "alloc_churn"}
+    assert set(BENCHMARKS) == {
+        "engine_loop",
+        "disk_service",
+        "alloc_churn",
+        "alloc_churn_buddy",
+        "alloc_churn_extent",
+        "alloc_churn_ffs",
+        "alloc_churn_fixed",
+        "alloc_churn_log",
+        "experiment_point",
+        "experiment_point_tp",
+        "experiment_point_sc",
+    }
 
 
 def test_suite_smoke_rates_positive():

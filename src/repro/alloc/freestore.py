@@ -12,17 +12,18 @@ flat sorted address list per block size — a single container answering
 membership, successor, and range queries by bisection, with whole sibling
 runs spliced in and out as one C-level slice operation (the batched form
 of the paper's split and coalesce walks).  :class:`LadderFreeStore` owns
-the maximum-size bitmap plus one list per smaller ladder size, and
+the maximum-size bitmap (one Python int, bit ``i`` set when maximum-size
+block ``i`` is free) plus one list per smaller ladder size, and
 optionally maintains per-region, per-size free-block counts so the
 restricted policy's region ring scans skip empty regions in O(1) instead
 of bisecting into every region.
 
-Every allocation decision is bit-identical to the retained reference
-implementation in :mod:`repro.alloc.reference` (the pre-rewrite circular
-DLL + dict + bisect-index triple); the differential property tests in
-``tests/alloc/test_differential.py`` drive both through identical
-operation sequences and require identical answers and snapshots at every
-step.
+Every allocation decision is bit-identical to the pre-rewrite circular
+DLL + dict + bisect-index triple, kept as a test oracle in
+``tests/oracles/reference.py`` rather than in the shipped package; the
+differential property tests in ``tests/alloc/test_differential.py`` drive
+both through identical operation sequences and require identical answers
+and snapshots at every step.
 """
 
 from __future__ import annotations
@@ -123,12 +124,6 @@ class FreeBlockList:
         if index < len(items) and items[index] < high:
             return items[index]
         return None
-
-    def count_in_range(self, low: int, high: int) -> int:
-        """Number of free addresses in ``[low, high)``."""
-        items = self._items
-        lo = bisect_left(items, low)
-        return bisect_left(items, high, lo) - lo
 
     def addresses(self) -> list[int]:
         """All free addresses in order."""

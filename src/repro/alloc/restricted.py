@@ -138,9 +138,6 @@ class RestrictedBuddyAllocator(Allocator):
 
     # -- region helpers ----------------------------------------------------------
 
-    def _region_of(self, address: int) -> int:
-        return address // self._region_units
-
     def _region_bounds(self, region: int) -> tuple[int, int]:
         low = region * self._region_units
         return low, min(low + self._region_units, self.capacity_units)

@@ -495,11 +495,6 @@ class TaskScheduler:
         """Tasks waiting for a worker (excluding backoff waits)."""
         return len(self._queue)
 
-    @property
-    def has_capacity(self) -> bool:
-        """True when a newly added task could dispatch immediately."""
-        return self.crew.idle > 0 and not self._queue and not self._retries
-
     # -- one supervision step ------------------------------------------------
 
     def step(

@@ -89,10 +89,6 @@ class DiskDrive:
         )
         return (in_track + skew) % 1.0
 
-    def angle_at(self, time_ms: float) -> float:
-        """The drive's angular position at simulated ``time_ms``."""
-        return (time_ms / self._rotation_ms) % 1.0
-
     # -- timing -------------------------------------------------------------
 
     def transfer_time(self, start_byte: int, n_bytes: int) -> float:

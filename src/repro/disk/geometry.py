@@ -99,11 +99,6 @@ class DiskGeometry:
         """
         return tuple(self.seek_time(d) for d in range(self.cylinders))
 
-    @property
-    def full_track_transfer_ms(self) -> float:
-        """Time to transfer one full track (one revolution)."""
-        return self.rotation_ms
-
     def transfer_ms(self, n_bytes: int) -> float:
         """Media-rate transfer time for ``n_bytes`` ignoring overheads."""
         return (n_bytes / self.track_bytes) * self.rotation_ms

@@ -35,7 +35,7 @@ order.
 from __future__ import annotations
 
 from heapq import heappop as _heappop
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..errors import SimulationError
 from .events import Event, EventHeap
@@ -439,11 +439,3 @@ class Simulator:
     def compactions(self) -> int:
         """Lazy heap compactions performed (cancel-heavy workloads)."""
         return self._heap.compactions
-
-    # -- convenience ------------------------------------------------------
-
-    def run_all(self, processes: Iterable[ProcessGenerator]) -> None:
-        """Start every generator as a process, then run to completion."""
-        for generator in processes:
-            self.process(generator)
-        self.run()

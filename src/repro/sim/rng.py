@@ -67,11 +67,6 @@ def uninstall_ledger() -> None:
     _LEDGER = None
 
 
-def current_ledger() -> StreamLedger | None:
-    """The installed ledger, or ``None``."""
-    return _LEDGER
-
-
 class PreparedWeights:
     """Pre-validated cumulative weights for repeated weighted draws.
 

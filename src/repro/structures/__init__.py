@@ -1,18 +1,17 @@
 """Purpose-built data structures backing the allocators.
 
-* :class:`CircularDll` — the paper's sorted circular doubly-linked free list.
 * :class:`SortedAddresses` / :class:`SortedPairs` — bisect-backed ordered
   indexes for successor and best-fit queries.
 * :class:`FreeExtentMap` — coalescing disjoint-interval free-space map.
+
+The restricted buddy policy's free lists and bitmap live with the policy
+in :mod:`repro.alloc.freestore`.
 """
 
-from .dll import CircularDll, DllNode
 from .intervals import FreeExtentMap
 from .sortedlist import SortedAddresses, SortedPairs
 
 __all__ = [
-    "CircularDll",
-    "DllNode",
     "FreeExtentMap",
     "SortedAddresses",
     "SortedPairs",

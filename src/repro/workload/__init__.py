@@ -16,14 +16,6 @@ from .ops import (
     sample_initial_size,
     sample_rw_size,
 )
-from .trace import (
-    ReplayResult,
-    Trace,
-    TraceEvent,
-    TraceFile,
-    record_trace,
-    replay_trace,
-)
 from .profiles import (
     Profile,
     mini,
@@ -54,10 +46,4 @@ __all__ = [
     "pick_offset",
     "sample_rw_size",
     "sample_initial_size",
-    "Trace",
-    "TraceEvent",
-    "TraceFile",
-    "ReplayResult",
-    "record_trace",
-    "replay_trace",
 ]

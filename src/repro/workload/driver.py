@@ -133,11 +133,6 @@ class WorkloadDriver:
             yield from self._one_operation(file_type, rng)
             yield rng.exponential(file_type.process_time_ms)
 
-    def _mode_weights(self, file_type: FileType) -> dict[Operation, float]:
-        if self.mode == "sequential":
-            return file_type.sequential_weights
-        return file_type.operation_weights
-
     def _one_operation(self, file_type: FileType, rng: RandomStream):
         population = self.files.get(file_type.name)
         if not population:

@@ -5,7 +5,7 @@ the decisions the originals made:
 
 1. **Store level** — the production :class:`LadderFreeStore` and the
    retained :class:`ReferenceLadderFreeStore` (the pre-rewrite circular
-   DLL + dict + bisect triple, kept verbatim in ``repro.alloc.reference``)
+   DLL + dict + bisect triple, kept verbatim in ``tests.oracles.reference``)
    answer identical queries and produce identical snapshots through long
    randomized alloc/split/release sequences, with ``check_invariants``
    run at every step.
@@ -35,7 +35,7 @@ from repro import (
     RestrictedPolicy,
 )
 from repro.alloc.freestore import LadderFreeStore
-from repro.alloc.reference import ReferenceLadderFreeStore
+from tests.oracles.reference import ReferenceLadderFreeStore
 from repro.alloc.restricted import (
     RestrictedBuddyAllocator,
     RestrictedBuddyConfig,

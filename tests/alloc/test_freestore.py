@@ -240,7 +240,7 @@ class TestRaggedCapacityTail:
             store.release(72, 8)
 
     def test_matches_reference_on_ragged_capacity(self):
-        from repro.alloc.reference import ReferenceLadderFreeStore
+        from tests.oracles.reference import ReferenceLadderFreeStore
 
         for capacity in (68, 100, 127, 129, 1000):
             store = LadderFreeStore(capacity, (1, 8, 64))

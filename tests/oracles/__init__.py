@@ -1,0 +1,10 @@
+"""Test oracles: slow, structurally independent implementations whose
+answers define correctness for the production code they mirror.
+
+* :mod:`.reference` — the pre-rewrite restricted-buddy free store
+  (:class:`~tests.oracles.reference.ReferenceLadderFreeStore`), the
+  differential oracle for :class:`repro.alloc.freestore.LadderFreeStore`.
+* :mod:`.dll` — the paper's sorted circular doubly-linked free list it
+  is built on.
+* :mod:`.bitmap` — its bitmap over maximum-size blocks.
+"""

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.structures.bitmap import Bitmap
+from tests.oracles.bitmap import Bitmap
 
 
 class TestBasics:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.structures.dll import CircularDll, DllNode
+from tests.oracles.dll import CircularDll, DllNode
 
 
 def build(keys):
