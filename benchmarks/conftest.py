@@ -87,7 +87,7 @@ def bench_runner() -> ExperimentRunner:
         cache_dir=BENCH_CACHE_DIR if BENCH_CACHE else None,
     )
     yield runner
-    print(f"\n[bench runner] {runner.stats.summary()}")
+    print(f"\n[bench runner]\n{runner.summary()}")
 
 
 @pytest.fixture(scope="session")

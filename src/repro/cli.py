@@ -181,10 +181,8 @@ def make_runner(args: argparse.Namespace) -> ExperimentRunner:
 
 
 def _finish(runner: ExperimentRunner) -> None:
-    """Report the runner's stat counters on stderr."""
-    print(f"runner: {runner.stats.summary()}", file=sys.stderr)
-    if runner.cache is not None:
-        print(f"runner: {runner.cache.stats_line()}", file=sys.stderr)
+    """Report the runner's counters on stderr."""
+    print(runner.summary(), file=sys.stderr)
 
 
 def _run_point(args: argparse.Namespace, task: ExperimentTask) -> Any:
@@ -495,9 +493,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
         flush=True,
     )
-    if service.stats.recovered:
+    recovered = service.metrics.counters["serve.recovered"]
+    if recovered:
         print(
-            f"serve: recovered {service.stats.recovered} unfinished job(s) "
+            f"serve: recovered {recovered} unfinished job(s) "
             "from the ledger",
             file=sys.stderr,
             flush=True,

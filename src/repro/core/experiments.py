@@ -347,8 +347,8 @@ def collect_metrics_snapshot(
     counters["fs.bytes_read"] = fs.bytes_read
     counters["fs.bytes_written"] = fs.bytes_written
     counters.update(fs.allocator.counters())
-    for op, count in driver.op_counts.as_dict().items():
-        counters[f"workload.ops.{op}"] = count
+    for op, tally in driver.op_latency.items():
+        counters[f"workload.ops.{op}"] = tally.count
     counters["workload.disk_full_events"] = driver.disk_full_events
     counters["workload.governor_conversions"] = driver.governor_conversions
     counters["workload.io_failures"] = driver.io_failures
@@ -525,7 +525,9 @@ def _build_performance_result(
         application=application,
         sequential=sequential,
         final_utilization=fs.utilization,
-        operation_counts=driver.op_counts.as_dict(),
+        operation_counts={
+            op: tally.count for op, tally in driver.op_latency.items()
+        },
         operation_latency_ms={
             op: tally.mean for op, tally in driver.op_latency.items()
         },

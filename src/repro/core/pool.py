@@ -48,12 +48,13 @@ from __future__ import annotations
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable
 
 from ..errors import ConfigurationError
+from ..obs.metrics import MetricsRegistry
 from ..sim.rng import RandomStream
 
 #: The longest a supervision step blocks when nothing happens.  A
@@ -62,6 +63,11 @@ from ..sim.rng import RandomStream
 #: backoff expiries shorten it, so this interval only bounds how long
 #: an otherwise idle supervisor goes between liveness checks.
 _POLL_INTERVAL_S = 0.1
+
+#: The supervision counters a crew and its scheduler increment.
+CREW_COUNTERS = (
+    "core.crashes", "core.timeouts", "core.retries", "core.workers_replaced",
+)
 
 
 def _pool_worker_main(conn) -> None:  # pragma: no cover - child process
@@ -144,17 +150,6 @@ class _Retry:
 
 
 @dataclass
-class PoolStats:
-    """Supervision counters for reporting and tests."""
-
-    crashes: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    workers_replaced: int = 0
-    details: list[str] = field(default_factory=list)
-
-
-@dataclass
 class CrewEvent:
     """One terminal thing that happened to an in-flight assignment.
 
@@ -187,8 +182,8 @@ class WorkerCrew:
             disables.
         telemetry: optional ``(task index, frame)`` callback for the
             progress frames workers stream alongside their results.
-        stats: shared :class:`PoolStats` to increment; a private one is
-            created when omitted.
+        metrics: the owner's registry, which receives the
+            :data:`CREW_COUNTERS`; a private one is created when omitted.
     """
 
     def __init__(
@@ -196,14 +191,14 @@ class WorkerCrew:
         work_fn: Callable[[Any], Any],
         timeout_s: float | None = None,
         telemetry: Callable[[int, dict], None] | None = None,
-        stats: PoolStats | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if timeout_s is not None and timeout_s <= 0:
             raise ConfigurationError(f"timeout must be positive: {timeout_s}")
         self.work_fn = work_fn
         self.timeout_s = timeout_s
         self.telemetry = telemetry
-        self.stats = stats if stats is not None else PoolStats()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._context = get_context("spawn")
         self._workers: dict[Any, tuple[Any, _Assignment | None]] = {}
 
@@ -268,10 +263,7 @@ class WorkerCrew:
                 # import failure, OOM kill): replace it and retry on the
                 # replacement rather than poisoning the caller with a
                 # broken pipe.
-                self.stats.workers_replaced += 1
-                self.stats.details.append(
-                    f"worker pid {process.pid} unreachable at dispatch; replaced"
-                )
+                self.metrics.incr("core.workers_replaced")
                 process.kill()
                 process.join()
                 idle.close()
@@ -391,25 +383,23 @@ class WorkerCrew:
             if assignment is None:
                 continue
             if not process.is_alive():
-                self.stats.crashes += 1
-                self.stats.workers_replaced += 1
+                self.metrics.incr("core.crashes")
+                self.metrics.incr("core.workers_replaced")
                 detail = (
                     f"worker pid {process.pid} died (exitcode "
                     f"{process.exitcode}) running task {assignment.index}"
                 )
-                self.stats.details.append(detail)
                 conn.close()
                 del self._workers[conn]
                 self._spawn_worker()
                 events.append(CrewEvent("failed", assignment, detail=detail))
             elif assignment.deadline is not None and now >= assignment.deadline:
-                self.stats.timeouts += 1
-                self.stats.workers_replaced += 1
+                self.metrics.incr("core.timeouts")
+                self.metrics.incr("core.workers_replaced")
                 detail = (
                     f"task {assignment.index} exceeded its {self.timeout_s:g}s "
                     f"wall-clock timeout; worker pid {process.pid} killed"
                 )
-                self.stats.details.append(detail)
                 process.kill()
                 process.join()
                 conn.close()
@@ -473,7 +463,7 @@ class TaskScheduler:
         self.retries = retries
         self.backoff_base_s = backoff_base_s
         self.jitter_seed = jitter_seed
-        self.stats = crew.stats
+        self.metrics = crew.metrics
         self._queue: deque[tuple[int, Any, int]] = deque()
         self._retries: list[_Retry] = []
         self._outstanding = 0
@@ -553,7 +543,7 @@ class TaskScheduler:
         self, assignment: _Assignment, detail: str
     ) -> tuple[int, Any, tuple[str, Any, float]] | None:
         if assignment.attempt < self.retries:
-            self.stats.retries += 1
+            self.metrics.incr("core.retries")
             delay = backoff_delay(
                 self.jitter_seed,
                 assignment.index,

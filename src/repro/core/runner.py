@@ -60,10 +60,11 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError, ExperimentError, SweepInterrupted
+from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import install_emitter, uninstall_emitter
 from .configs import ExperimentConfig
 from .experiments import run_allocation_experiment, run_performance_experiment
-from .pool import TaskScheduler, WorkerCrew
+from .pool import CREW_COUNTERS, TaskScheduler, WorkerCrew
 
 #: Bump when result dataclasses or experiment semantics change shape;
 #: old cache entries then miss instead of deserializing stale science.
@@ -209,6 +210,10 @@ def atomic_write(path: Path, *chunks: bytes) -> None:
             temp.unlink()
 
 
+#: The counters a result cache increments in its owner's registry.
+CACHE_COUNTERS = ("core.cache_hits", "core.cache_misses", "core.cache_evictions")
+
+
 class ResultCache:
     """Pickle-per-key result store with atomic, checksummed writes.
 
@@ -218,13 +223,16 @@ class ResultCache:
     or tampered entries are treated as misses — and *evicted*, so a bad
     entry costs one recompute instead of a validation failure on every
     subsequent run.  The cache is an accelerator, not a source of truth.
+
+    Loads count into ``metrics`` (the owner's registry; a private one
+    when omitted) as the :data:`CACHE_COUNTERS`.
     """
 
-    def __init__(self, directory: str | Path) -> None:
+    def __init__(
+        self, directory: str | Path, metrics: MetricsRegistry | None = None
+    ) -> None:
         self.directory = Path(directory)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     def path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
@@ -236,7 +244,7 @@ class ResultCache:
             with open(path, "rb") as handle:
                 blob = handle.read()
         except OSError:
-            self.misses += 1
+            self.metrics.incr("core.cache_misses")
             return None
         try:
             magic, digest, payload = (
@@ -254,24 +262,13 @@ class ResultCache:
             # pickle raises far more than PickleError on garbage bytes
             # (ValueError, KeyError, UnicodeDecodeError, ImportError...).
             # Evict it so the recompute's store replaces it for good.
-            self._evict(path)
-            self.misses += 1
+            self.metrics.incr("core.cache_evictions")
+            with contextlib.suppress(OSError):
+                path.unlink()
+            self.metrics.incr("core.cache_misses")
             return None
-        self.hits += 1
+        self.metrics.incr("core.cache_hits")
         return result
-
-    def _evict(self, path: Path) -> None:
-        self.evictions += 1
-        with contextlib.suppress(OSError):
-            path.unlink()
-
-    def stats_line(self) -> str:
-        """``hits/misses/evictions`` summary for end-of-sweep logs."""
-        return (
-            f"cache: {self.hits} hit{'s' if self.hits != 1 else ''}, "
-            f"{self.misses} miss{'es' if self.misses != 1 else ''}, "
-            f"{self.evictions} evicted"
-        )
 
     def store(self, key: str, result: Any) -> None:
         """Persist ``result`` under ``key`` (atomic and fsynced, last
@@ -283,7 +280,7 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Outcomes, stats, and the runner
+# Outcomes and the runner
 # ---------------------------------------------------------------------------
 
 
@@ -314,22 +311,8 @@ class PointOutcome:
         return self.error is None
 
 
-@dataclass
-class RunnerStats:
-    """Counters across a runner's lifetime (all ``run`` calls)."""
-
-    executed: int = 0
-    cached: int = 0
-    failed: int = 0
-    elapsed_s: float = 0.0
-
-    def summary(self) -> str:
-        """One-line summary for logs: ``3 executed, 9 cached, 0 failed``."""
-        return (
-            f"{self.executed} executed, {self.cached} cached, "
-            f"{self.failed} failed ({self.elapsed_s:.1f}s)"
-        )
-
+#: Every counter a runner lists from construction on.
+RUNNER_COUNTERS = ("core.executed", "core.failed", *CACHE_COUNTERS, *CREW_COUNTERS)
 
 #: Progress callback: (outcome, completed count, total count).
 ProgressCallback = Callable[[PointOutcome, int, int], None]
@@ -381,6 +364,12 @@ class ExperimentRunner:
             :mod:`repro.obs.telemetry`), streamed over the supervision
             pipes for pool workers and delivered directly for inline
             execution.
+
+    Every count across the runner's lifetime (all ``run`` calls) lands
+    in ``metrics``: ``core.executed``, ``core.failed``, the cache's and
+    the crew's counters, and the total ``core.elapsed_s``.  A point
+    replayed from the cache is a ``core.cache_hits``: :meth:`run` loads
+    each key once and nothing else loads from the runner's cache.
     """
 
     def __init__(
@@ -402,13 +391,16 @@ class ExperimentRunner:
         if retries < 0:
             raise ConfigurationError(f"retries must be >= 0: {retries}")
         self.jobs = jobs
-        self.cache = ResultCache(cache_dir) if cache_dir else None
+        self.metrics = MetricsRegistry()
+        for name in RUNNER_COUNTERS:
+            self.metrics.incr(name, 0)
+        self.metrics.add("core.elapsed_s", 0.0)
+        self.cache = ResultCache(cache_dir, self.metrics) if cache_dir else None
         self.progress = progress
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_base_s = backoff_base_s
         self.telemetry = telemetry
-        self.stats = RunnerStats()
 
     # -- execution ---------------------------------------------------------
 
@@ -438,7 +430,6 @@ class ExperimentRunner:
                 outcomes[index] = PointOutcome(
                     index, task, cached, from_cache=True
                 )
-                self.stats.cached += 1
                 completed += 1
                 self._report(outcomes[index], completed, total)
             else:
@@ -455,21 +446,21 @@ class ExperimentRunner:
             for index, task, (status, payload, elapsed) in finished:
                 if status == "ok":
                     outcome = PointOutcome(index, task, payload, elapsed_s=elapsed)
-                    self.stats.executed += 1
+                    self.metrics.incr("core.executed")
                     if self.cache:
                         self.cache.store(task.cache_key, payload)
                 else:
                     outcome = PointOutcome(
                         index, task, None, error=payload, elapsed_s=elapsed
                     )
-                    self.stats.failed += 1
+                    self.metrics.incr("core.failed")
                 outcomes[index] = outcome
                 completed += 1
                 self._report(outcome, completed, total)
         except KeyboardInterrupt:
             # Report how far we got; the CLI maps this to the
             # conventional exit code 130.
-            self.stats.elapsed_s += time.perf_counter() - started
+            self.metrics.add("core.elapsed_s", time.perf_counter() - started)
             partial_dir = self.cache.directory if self.cache else None
             raise SweepInterrupted(partial_dir, completed, total) from None
         finally:
@@ -480,7 +471,7 @@ class ExperimentRunner:
             # processes.
             finished.close()
 
-        self.stats.elapsed_s += time.perf_counter() - started
+        self.metrics.add("core.elapsed_s", time.perf_counter() - started)
         return [o for o in outcomes if o is not None]
 
     def results(self, tasks: Sequence[ExperimentTask]) -> list[Any]:
@@ -502,6 +493,31 @@ class ExperimentRunner:
             )
         return [o.result for o in outcomes]
 
+    def summary(self) -> str:
+        """The end-of-sweep stderr report, rendered from the counters::
+
+            runner: 3 executed, 9 cached, 0 failed (1.2s)
+            runner: cache: 9 hits, 3 misses, 0 evicted
+
+        The cache line is left out when caching is off.
+        """
+        counters = self.metrics.counters
+        lines = [
+            f"runner: {counters['core.executed']} executed, "
+            f"{counters['core.cache_hits']} cached, "
+            f"{counters['core.failed']} failed "
+            f"({self.metrics.totals['core.elapsed_s']:.1f}s)"
+        ]
+        if self.cache is not None:
+            hits = counters["core.cache_hits"]
+            misses = counters["core.cache_misses"]
+            lines.append(
+                f"runner: cache: {hits} hit{'s' if hits != 1 else ''}, "
+                f"{misses} miss{'es' if misses != 1 else ''}, "
+                f"{counters['core.cache_evictions']} evicted"
+            )
+        return "\n".join(lines)
+
     # -- internals ---------------------------------------------------------
 
     def _run_pooled(self, pending):
@@ -513,7 +529,10 @@ class ExperimentRunner:
         however the generator exits, including an early ``close()``.
         """
         crew = WorkerCrew(
-            execute_task, timeout_s=self.timeout_s, telemetry=self.telemetry
+            execute_task,
+            timeout_s=self.timeout_s,
+            telemetry=self.telemetry,
+            metrics=self.metrics,
         )
         scheduler = TaskScheduler(
             crew, retries=self.retries, backoff_base_s=self.backoff_base_s

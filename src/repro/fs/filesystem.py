@@ -38,7 +38,7 @@ class FsFile:
     Compares (and hashes) by identity, deliberately: an open file is a
     stateful resource, not a value.  The workload keeps thousands of
     these in population lists, and the former dataclass-generated
-    ``__eq__`` deep-compared extent maps and stats dicts across whole
+    ``__eq__`` deep-compared extent maps across whole
     populations on every ``list.remove`` — the O(n²) churn this layer's
     hot-path rework removed.  ``fs_id`` is unique per file system, so no
     two distinct live files ever compared equal anyway.
@@ -52,8 +52,7 @@ class FsFile:
     """
 
     __slots__ = (
-        "fs_id", "handle", "extmap", "length_bytes", "cursor_bytes",
-        "tag", "stats",
+        "fs_id", "handle", "extmap", "length_bytes", "cursor_bytes", "tag",
     )
 
     def __init__(
@@ -64,7 +63,6 @@ class FsFile:
         length_bytes: int = 0,
         cursor_bytes: int = 0,
         tag: str = "",
-        stats: dict | None = None,
     ) -> None:
         self.fs_id = fs_id
         self.handle = handle
@@ -72,7 +70,6 @@ class FsFile:
         self.length_bytes = length_bytes
         self.cursor_bytes = cursor_bytes
         self.tag = tag
-        self.stats = {} if stats is None else stats
 
     @property
     def allocated_units(self) -> int:

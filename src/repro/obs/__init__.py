@@ -9,7 +9,9 @@ requests visible.  Four pieces, wired through every simulator layer:
   default) is the zero-overhead disabled path.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, totals, and
   fixed-bucket latency histograms recorded at subsystem boundaries.
-  Attached as ``sim.metrics``.
+  Attached as ``sim.metrics``; the experiment runner and service each
+  own one for their ``core.*`` and ``serve.*`` counters (the service's
+  snapshot is ``/v1/stats``).
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
   Perfetto / ``about:tracing``) and JSONL exporters, byte-deterministic
   for a fixed seed.

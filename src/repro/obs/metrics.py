@@ -4,12 +4,18 @@ One :class:`MetricsRegistry` is attached per simulation as
 ``sim.metrics`` (``None`` disabled, same fast-path discipline as the
 tracer).  It *extends* the bookkeeping the simulator already does — the
 per-drive :class:`~repro.sim.stats.Tally` objects, the workload driver's
-operation counters, the allocator's request counts, the fault injector's
-window meters — rather than duplicating it: subsystems record only what
-no existing counter captures (latency distributions at fixed bucket
-edges, degraded-window transitions, seek distances), and the experiment
-layer folds both sources into one snapshot dict at the end of a run
-(see ``repro.core.experiments.collect_metrics_snapshot``).
+per-operation tallies, the allocator's request counts, the fault
+injector's window meters — rather than duplicating it: subsystems record
+only what no existing counter captures (latency distributions at fixed
+bucket edges, degraded-window transitions, seek distances), and the
+experiment layer folds both sources into one snapshot dict at the end of
+a run (see ``repro.core.experiments.collect_metrics_snapshot``).
+
+The orchestration layer counts in a registry too: each
+:class:`~repro.core.runner.ExperimentRunner` and
+:class:`~repro.serve.service.ExperimentService` owns one, shared with
+the result cache and worker crew it builds, holding the ``core.*`` and
+``serve.*`` counters; the service serves its snapshot at ``/v1/stats``.
 
 Everything in a snapshot is a plain int/float/list/dict, so snapshots
 pickle across worker processes, JSON-serialize for ``--json`` output,
@@ -35,8 +41,11 @@ class MetricsRegistry:
     """Named counters, gauges, float totals, and fixed-bucket histograms.
 
     Instruments are created on first use so subsystems need no
-    registration step; names are dotted paths
-    (``disk.service_ms``, ``fault.disk-failure``).
+    registration step; names are dotted paths prefixed with their
+    package (``disk.service_ms``, ``fault.disk-failure``,
+    ``core.cache_hits``).  An owner whose registry is read from another
+    thread registers its counters up front with ``incr(name, 0)``, so
+    a snapshot never races a key insertion.
     """
 
     def __init__(self) -> None:

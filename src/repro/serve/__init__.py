@@ -21,7 +21,6 @@ from .ledger import LedgerEntry, RunLedger
 from .service import (
     ExperimentService,
     Job,
-    ServiceStats,
     result_digest,
     result_summary,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "LedgerEntry",
     "RunLedger",
     "ServeDaemon",
-    "ServiceStats",
     "make_daemon",
     "result_digest",
     "result_summary",

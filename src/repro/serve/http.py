@@ -11,7 +11,7 @@ block on I/O).  Routes:
 Method   Path                            Meaning
 =======  ==============================  =======================================
 GET      ``/healthz``                    liveness + uptime
-GET      ``/v1/stats``                   admission / dedup / supervision counters
+GET      ``/v1/stats``                   registry snapshot: counters + gauges
 POST     ``/v1/experiments``             submit one spec; optional bounded wait
 POST     ``/v1/sweeps``                  submit many specs in one request
 GET      ``/v1/jobs/<key>``              job status (+ result summary when done)

@@ -44,9 +44,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from ..core.pool import PoolStats, TaskScheduler, WorkerCrew
-from ..core.runner import ExperimentTask, ResultCache, _canonical, execute_task
+from ..core.pool import CREW_COUNTERS, TaskScheduler, WorkerCrew
+from ..core.runner import (
+    CACHE_COUNTERS,
+    ExperimentTask,
+    ResultCache,
+    _canonical,
+    execute_task,
+)
 from ..errors import ReproError, ServiceError, ServiceOverloaded
+from ..obs.metrics import MetricsRegistry
 from .codec import spec_to_task, task_to_spec
 from .ledger import RunLedger
 
@@ -55,6 +62,15 @@ QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
+JOB_STATES = (QUEUED, RUNNING, DONE, FAILED)
+
+#: The request-path counters (``/v1/stats`` serves them with the
+#: cache's and the crew's).
+SERVE_COUNTERS = (
+    "serve.accepted", "serve.deduped", "serve.cache_hits", "serve.shed",
+    "serve.executed", "serve.failed", "serve.recovered",
+    "serve.frames_routed", "serve.frames_dropped",
+)
 
 #: Wire priorities (lower runs first).
 PRIORITIES = {"high": 0, "normal": 1, "low": 2}
@@ -111,34 +127,6 @@ class Job:
     @property
     def finished(self) -> bool:
         return self.state in (DONE, FAILED)
-
-
-@dataclass
-class ServiceStats:
-    """Request-path counters (`/v1/stats`)."""
-
-    accepted: int = 0
-    deduped: int = 0
-    cache_hits: int = 0
-    shed: int = 0
-    executed: int = 0
-    failed: int = 0
-    recovered: int = 0
-    frames_routed: int = 0
-    frames_dropped: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "deduped": self.deduped,
-            "cache_hits": self.cache_hits,
-            "shed": self.shed,
-            "executed": self.executed,
-            "failed": self.failed,
-            "recovered": self.recovered,
-            "frames_routed": self.frames_routed,
-            "frames_dropped": self.frames_dropped,
-        }
 
 
 def result_digest(result: Any) -> str:
@@ -228,10 +216,14 @@ class ExperimentService:
         self.backoff_base_s = backoff_base_s
         self.jitter_seed = jitter_seed
         self.work_fn = work_fn or execute_task
-        self.cache = ResultCache(self.state_dir / "results")
+        # Registered up front: the engine thread increments the crew's
+        # counters without the service lock, so no key may appear while
+        # an HTTP thread snapshots the registry.
+        self.metrics = MetricsRegistry()
+        for name in (*SERVE_COUNTERS, *CACHE_COUNTERS, *CREW_COUNTERS):
+            self.metrics.incr(name, 0)
+        self.cache = ResultCache(self.state_dir / "results", self.metrics)
         self.ledger = RunLedger(self.state_dir)
-        self.stats = ServiceStats()
-        self.pool_stats = PoolStats()
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._heap: list[tuple[int, int, str]] = []
@@ -278,7 +270,7 @@ class ExperimentService:
                     heapq.heappush(
                         self._heap, (job.priority, next(self._seq), job.key)
                     )
-                    self.stats.recovered += 1
+                    self.metrics.incr("serve.recovered")
                 elif error is not None:
                     # A deterministic failure stays failed across
                     # restarts — re-running it would fail identically.
@@ -344,11 +336,11 @@ class ExperimentService:
         with self._lock:
             job = self._jobs.get(key)
             if job is not None and not job.finished:
-                self.stats.deduped += 1
+                self.metrics.incr("serve.deduped")
                 return job, "deduped"
             cached = self.cache.load(key)
             if cached is not None:
-                self.stats.cache_hits += 1
+                self.metrics.incr("serve.cache_hits")
                 job = Job(key=key, spec=spec, state=DONE)
                 job.elapsed_s = 0.0
                 job.done_event.set()
@@ -357,15 +349,15 @@ class ExperimentService:
             if job is not None and job.state == FAILED:
                 # A journaled deterministic failure: serve the verdict,
                 # do not re-run what fails identically every time.
-                self.stats.deduped += 1
+                self.metrics.incr("serve.deduped")
                 return job, "deduped"
             depth = self._depth_locked()
             if depth >= self.max_queue:
-                self.stats.shed += 1
+                self.metrics.incr("serve.shed")
                 raise ServiceOverloaded(
                     self._retry_after_locked(depth), depth, self.max_queue
                 )
-            self.stats.accepted += 1
+            self.metrics.incr("serve.accepted")
             job = Job(key=key, spec=spec, task=task, priority=priority)
             self.ledger.accept(key, spec, priority=priority)
             self._jobs[key] = job
@@ -444,7 +436,7 @@ class ExperimentService:
         for q in list(job.subscribers):
             try:
                 q.put_nowait(event)
-                self.stats.frames_routed += 1
+                self.metrics.incr("serve.frames_routed")
             except queue.Full:
                 if critical:
                     # Make room: drop the oldest progress frame so the
@@ -454,7 +446,7 @@ class ExperimentService:
                         q.put_nowait(event)
                     except (queue.Empty, queue.Full):
                         pass
-                self.stats.frames_dropped += 1
+                self.metrics.incr("serve.frames_dropped")
 
     # -- admission internals -------------------------------------------------
 
@@ -493,7 +485,7 @@ class ExperimentService:
             self.work_fn,
             timeout_s=self.timeout_s,
             telemetry=self._on_frame,
-            stats=self.pool_stats,
+            metrics=self.metrics,
         )
         scheduler = TaskScheduler(
             crew,
@@ -586,7 +578,7 @@ class ExperimentService:
             job.elapsed_s = elapsed
             if status == "ok":
                 job.state = DONE
-                self.stats.executed += 1
+                self.metrics.incr("serve.executed")
                 self._service_times.append(
                     job.finished_s - (job.started_s or job.finished_s)
                 )
@@ -595,14 +587,14 @@ class ExperimentService:
             elif status == "task-error":
                 job.state = FAILED
                 job.error = payload
-                self.stats.failed += 1
+                self.metrics.incr("serve.failed")
                 # Deterministic: journal it so a restart reports instead
                 # of re-running a config that fails identically.
                 self.ledger.done(key, error=payload)
             else:
                 job.state = FAILED
                 job.error = payload
-                self.stats.failed += 1
+                self.metrics.incr("serve.failed")
                 # Environmental (crash/timeout, retries exhausted): NOT
                 # journaled as done — a restart re-admits and re-runs it.
             self._publish(job, {"event": "done", "data": self.job_view(job)}, True)
@@ -612,34 +604,23 @@ class ExperimentService:
     # -- reporting -----------------------------------------------------------
 
     def stats_view(self) -> dict:
+        """The registry snapshot (``/v1/stats``), with the admission
+        gauges set: ``serve.depth``, ``serve.budget``, ``serve.workers``,
+        ``serve.uptime_s`` and ``serve.jobs.<state>``."""
         with self._lock:
-            depth = self._depth_locked()
-            states: dict[str, int] = {}
+            states = dict.fromkeys(JOB_STATES, 0)
             for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-        view = self.stats.snapshot()
-        view.update(
-            {
-                "depth": depth,
-                "budget": self.max_queue,
-                "workers": self.workers,
-                "jobs": states,
-                "uptime_s": (
-                    time.monotonic() - self.started_at
-                    if self.started_at is not None
-                    else 0.0
-                ),
-                "supervision": {
-                    "crashes": self.pool_stats.crashes,
-                    "timeouts": self.pool_stats.timeouts,
-                    "retries": self.pool_stats.retries,
-                    "workers_replaced": self.pool_stats.workers_replaced,
-                },
-                "cache": {
-                    "hits": self.cache.hits,
-                    "misses": self.cache.misses,
-                    "evictions": self.cache.evictions,
-                },
-            }
-        )
-        return view
+                states[job.state] += 1
+            gauge = self.metrics.gauge
+            gauge("serve.depth", self._depth_locked())
+            gauge("serve.budget", self.max_queue)
+            gauge("serve.workers", self.workers)
+            gauge(
+                "serve.uptime_s",
+                time.monotonic() - self.started_at
+                if self.started_at is not None
+                else 0.0,
+            )
+            for state, count in states.items():
+                gauge(f"serve.jobs.{state}", count)
+            return self.metrics.snapshot()

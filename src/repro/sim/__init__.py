@@ -5,7 +5,7 @@ Public surface:
 * :class:`Simulator`, :class:`Process`, :class:`Waitable` — the engine.
 * :class:`RandomStream` — named, seeded distribution streams.
 * :class:`ThroughputMeter` — interval throughput + stabilization rule.
-* :class:`Tally`, :class:`Counter` — statistics accumulators.
+* :class:`Tally` — the statistics accumulator.
 """
 
 from .engine import AllOf, Process, Simulator, Waitable
@@ -17,7 +17,7 @@ from .meters import (
     ThroughputMeter,
 )
 from .rng import RandomStream
-from .stats import Counter, Tally, histogram
+from .stats import Tally, histogram
 
 __all__ = [
     "AllOf",
@@ -32,6 +32,5 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_WINDOW",
     "Tally",
-    "Counter",
     "histogram",
 ]

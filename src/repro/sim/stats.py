@@ -1,18 +1,16 @@
 """Small statistics helpers used across the simulator.
 
 A :class:`Tally` accumulates scalar observations with Welford's online
-algorithm (numerically stable mean/variance without storing samples), and a
-:class:`Counter` tracks named event counts.  Experiment drivers use these
-for per-operation latency and per-policy bookkeeping such as the
-extents-per-file numbers behind Table 4.
+algorithm (numerically stable mean/variance without storing samples).
+Experiment drivers use it for per-operation latency and counts, and for
+per-policy bookkeeping such as the extents-per-file numbers behind
+Table 4.  Named counters live in :class:`repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
-from dataclasses import dataclass, field
 
 
 class Tally:
@@ -81,25 +79,6 @@ class Tally:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Tally n={self.count} mean={self.mean:.3f}>"
-
-
-@dataclass
-class Counter:
-    """Named integer counters with a defaultdict backing store."""
-
-    counts: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        """Increase counter ``name`` by ``amount``."""
-        self.counts[name] += amount
-
-    def get(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self.counts.get(name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        """Snapshot of all counters as a plain dict."""
-        return dict(self.counts)
 
 
 class FixedHistogram:

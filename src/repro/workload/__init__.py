@@ -9,10 +9,7 @@ from .driver import (
 )
 from .filetype import AccessPattern, FileType, Operation
 from .ops import (
-    PlannedOp,
     pick_offset,
-    pick_operation,
-    plan_operation,
     sample_initial_size,
     sample_rw_size,
 )
@@ -40,9 +37,6 @@ __all__ = [
     "run_allocation_until_full",
     "DEFAULT_LOWER_BOUND",
     "DEFAULT_UPPER_BOUND",
-    "PlannedOp",
-    "plan_operation",
-    "pick_operation",
     "pick_offset",
     "sample_rw_size",
     "sample_initial_size",

@@ -27,11 +27,11 @@ from ..obs.tracer import TID_WORKLOAD
 from ..obs.telemetry import emit, progress_frame, telemetry_enabled
 from ..sim.engine import Simulator
 from ..sim.rng import PreparedWeights, RandomStream
-from ..sim.stats import Counter, Tally
+from ..sim.stats import Tally
 from .filetype import FileType, Operation
 from .ops import (
     pick_offset,
-    plan_operation_raw,
+    plan_operation,
     prepare_weights,
     sample_initial_size,
 )
@@ -78,7 +78,7 @@ class WorkloadDriver:
         self.upper_bound = upper_bound
         self.mode = "application"
         self.files: dict[str, list[FsFile]] = {}
-        self.op_counts = Counter()
+        # Per-operation latency; each tally's count is the operation count.
         self.op_latency: dict[str, Tally] = {}
         self.disk_full_events = 0
         self.governor_conversions = 0
@@ -142,7 +142,7 @@ class WorkloadDriver:
         # pop instead of an equality scan over the whole population.
         index = rng.choice_index(len(population))
         fs_file = population[index]
-        op, size = plan_operation_raw(
+        op, size = plan_operation(
             rng, file_type, self._prepared_weights[(file_type.name, self.mode)]
         )
 
@@ -215,7 +215,6 @@ class WorkloadDriver:
                 tracer.context = 0
         op_value = op.value
         elapsed = sim.now - started
-        self.op_counts.incr(op_value)
         tally = self.op_latency.get(op_value)
         if tally is None:  # first op of this kind; setdefault would build
             tally = self.op_latency[op_value] = Tally()  # a Tally per call
@@ -352,7 +351,7 @@ def run_allocation_until_full(
                 continue
             index = op_rng.choice_index(len(population))
             fs_file = population[index]
-            planned_op, planned_size = plan_operation_raw(
+            planned_op, planned_size = plan_operation(
                 op_rng, file_type, prepared_ops[file_type.name]
             )
             operations += 1

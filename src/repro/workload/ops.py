@@ -13,37 +13,18 @@ the same stochastic op stream logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.rng import PreparedWeights, RandomStream
 from .filetype import AccessPattern, FileType, Operation
-
-
-@dataclass(frozen=True)
-class PlannedOp:
-    """A sampled operation before it is applied to a concrete file."""
-
-    op: Operation
-    size_bytes: int
 
 
 def prepare_weights(weights: dict[Operation, float]) -> PreparedWeights:
     """Build reusable cumulative weights for an operation-ratio dict.
 
-    The item order is ``list(weights.keys())`` — the order
-    :func:`pick_operation` uses — so a prepared draw selects the same
-    operation an unprepared one would at the same generator state.
+    The item order is ``list(weights.keys())``: one draw selects the
+    operation whose cumulative weight first exceeds it, in that order.
     """
     items = list(weights.keys())
     return PreparedWeights(items, [weights[op] for op in items])
-
-
-def pick_operation(
-    rng: RandomStream, weights: dict[Operation, float]
-) -> Operation:
-    """Draw one operation according to the ratio weights."""
-    items = list(weights.keys())
-    return rng.weighted_choice(items, [weights[op] for op in items])
 
 
 def sample_rw_size(rng: RandomStream, file_type: FileType) -> int:
@@ -67,35 +48,15 @@ def sample_initial_size(rng: RandomStream, file_type: FileType) -> int:
 
 
 def plan_operation(
-    rng: RandomStream,
-    file_type: FileType,
-    weights: dict[Operation, float] | PreparedWeights,
-) -> PlannedOp:
+    rng: RandomStream, file_type: FileType, weights: PreparedWeights
+) -> tuple[Operation, int]:
     """Sample an operation and its size parameter for one event.
 
-    ``weights`` is an operation-ratio dict or a :class:`PreparedWeights`
-    built from one by :func:`prepare_weights`; both consume the same
-    single draw and select the same operation.
+    ``weights`` comes from :func:`prepare_weights`.  The drivers call
+    this once per simulated operation, so it returns the plain
+    ``(op, size)`` pair.
     """
-    op, size = plan_operation_raw(rng, file_type, weights)
-    return PlannedOp(op, size)
-
-
-def plan_operation_raw(
-    rng: RandomStream,
-    file_type: FileType,
-    weights: dict[Operation, float] | PreparedWeights,
-) -> tuple[Operation, int]:
-    """:func:`plan_operation` without the :class:`PlannedOp` wrapper.
-
-    The drivers call this once per simulated operation; returning the
-    plain ``(op, size)`` pair skips a dataclass construction the hot
-    loop would immediately unpack.
-    """
-    if type(weights) is PreparedWeights:
-        op = rng.weighted_choice_prepared(weights)
-    else:
-        op = pick_operation(rng, weights)
+    op = rng.weighted_choice_prepared(weights)
     if op is Operation.READ or op is Operation.WRITE or op is Operation.EXTEND:
         return op, sample_rw_size(rng, file_type)
     if op is Operation.TRUNCATE:

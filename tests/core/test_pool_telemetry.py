@@ -54,7 +54,7 @@ class TestPoolTelemetry:
 
     def test_worker_killed_after_emitting_is_still_a_clean_crash(self):
         frames = []
-        [(index, _, (status, message, _))], stats = run_supervised(
+        [(index, _, (status, message, _))], counters = run_supervised(
             emits_then_dies,
             [(0, None)],
             1,
@@ -66,7 +66,7 @@ class TestPoolTelemetry:
         # before the pipe broke; what matters is no exception and a
         # structured error (not a hang or a lost task).
         assert all(frame["stage"] == "doomed" for _, frame in frames)
-        assert stats.crashes == 1
+        assert counters["core.crashes"] == 1
 
     def test_mixed_telemetry_and_silent_tasks(self):
         frames = []

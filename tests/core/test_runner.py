@@ -93,24 +93,37 @@ class TestCacheStats:
         cache.load("abc")  # hit
         cache.path("bad").write_bytes(b"corrupt")
         cache.load("bad")  # miss + eviction
-        assert (cache.hits, cache.misses, cache.evictions) == (1, 2, 1)
+        assert cache.metrics.counters == {
+            "core.cache_hits": 1,
+            "core.cache_misses": 2,
+            "core.cache_evictions": 1,
+        }
         assert not cache.path("bad").exists()
 
     def test_stats_line_pluralization(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.stats_line() == "cache: 0 hits, 0 misses, 0 evicted"
-        cache.store("abc", 1)
-        cache.load("abc")
-        cache.load("absent")
-        assert cache.stats_line() == "cache: 1 hit, 1 miss, 0 evicted"
+        runner = ExperimentRunner(cache_dir=tmp_path)
+        summary = runner.summary().splitlines()
+        assert summary[1] == "runner: cache: 0 hits, 0 misses, 0 evicted"
+        runner.cache.store("abc", 1)
+        runner.cache.load("abc")
+        runner.cache.load("absent")
+        summary = runner.summary().splitlines()
+        assert summary[1] == "runner: cache: 1 hit, 1 miss, 0 evicted"
+
+    def test_summary_without_a_cache_has_no_cache_line(self):
+        runner = ExperimentRunner()
+        runner.run([tiny_task()])
+        [line] = runner.summary().splitlines()
+        assert line.startswith("runner: 1 executed, 0 cached, 0 failed (")
 
     def test_runner_counts_cache_traffic(self, tmp_path):
         task = tiny_task()
         runner = ExperimentRunner(jobs=1, cache_dir=tmp_path)
+        counters = runner.metrics.counters
         runner.run([task])
-        assert (runner.cache.hits, runner.cache.misses) == (0, 1)
+        assert (counters["core.cache_hits"], counters["core.cache_misses"]) == (0, 1)
         runner.run([task])
-        assert (runner.cache.hits, runner.cache.misses) == (1, 1)
+        assert (counters["core.cache_hits"], counters["core.cache_misses"]) == (1, 1)
 
 
 class TestSerialRunner:
@@ -127,18 +140,18 @@ class TestSerialRunner:
         outcomes = runner.run(tasks)
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert all(o.ok and o.result is not None for o in outcomes)
-        assert runner.stats.executed == 3
-        assert runner.stats.cached == 0
+        assert runner.metrics.counters["core.executed"] == 3
+        assert runner.metrics.counters["core.cache_hits"] == 0
 
     def test_warm_cache_executes_nothing(self, tmp_path):
         tasks = [tiny_task(seed=s) for s in (1, 2)]
         cold = ExperimentRunner(cache_dir=tmp_path)
         first = cold.run(tasks)
-        assert cold.stats.executed == 2
+        assert cold.metrics.counters["core.executed"] == 2
         warm = ExperimentRunner(cache_dir=tmp_path)
         second = warm.run(tasks)
-        assert warm.stats.executed == 0
-        assert warm.stats.cached == 2
+        assert warm.metrics.counters["core.executed"] == 0
+        assert warm.metrics.counters["core.cache_hits"] == 2
         assert all(o.from_cache for o in second)
         assert [o.result for o in first] == [o.result for o in second]
 
@@ -148,7 +161,7 @@ class TestSerialRunner:
         assert runner.cache is None
         runner.run([tiny_task()])
         runner.run([tiny_task()])
-        assert runner.stats.executed == 2
+        assert runner.metrics.counters["core.executed"] == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_progress_callback_sees_every_point(self):
@@ -169,8 +182,8 @@ class TestFailureChannel:
         outcomes = runner.run([tiny_task(), self.bad_task(), tiny_task(seed=9)])
         assert [o.ok for o in outcomes] == [True, False, True]
         assert "ConfigurationError" in outcomes[1].error
-        assert runner.stats.failed == 1
-        assert runner.stats.executed == 2
+        assert runner.metrics.counters["core.failed"] == 1
+        assert runner.metrics.counters["core.executed"] == 2
 
     def test_results_raises_aggregate_error(self):
         runner = ExperimentRunner()

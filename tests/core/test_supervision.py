@@ -6,13 +6,15 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import dataclass
 
 import pytest
 
 from repro.core.configs import ExperimentConfig, FixedPolicy, SystemConfig
-from repro.core.pool import TaskScheduler, WorkerCrew
+from repro.core.pool import CREW_COUNTERS, TaskScheduler, WorkerCrew
 from repro.core.runner import ExperimentRunner, ExperimentTask, ResultCache
 from repro.errors import ConfigurationError, SweepInterrupted
+from repro.obs.metrics import MetricsRegistry
 
 
 # -- picklable work functions for the spawn workers -------------------------
@@ -39,6 +41,20 @@ def always_raises(_):
     raise ValueError("deterministic divergence")
 
 
+@dataclass(frozen=True)
+class CrashOnceTask(ExperimentTask):
+    """A sweep point whose worker SIGKILLs itself on the first attempt."""
+
+    flag_path: str = ""
+
+    def execute(self):
+        if not os.path.exists(self.flag_path):
+            with open(self.flag_path, "w") as handle:
+                handle.write("attempted")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().execute()
+
+
 def tiny_task(seed=7):
     config = ExperimentConfig(
         policy=FixedPolicy(),
@@ -56,8 +72,13 @@ def run_supervised(
     telemetry=None,
 ):
     """Drive ``(index, payload)`` items through a crew and scheduler until
-    every one resolves; returns the outcomes and the supervision stats."""
-    crew = WorkerCrew(work_fn, timeout_s=timeout_s, telemetry=telemetry)
+    every one resolves; returns the outcomes and the supervision counters."""
+    metrics = MetricsRegistry()
+    for name in CREW_COUNTERS:
+        metrics.incr(name, 0)
+    crew = WorkerCrew(
+        work_fn, timeout_s=timeout_s, telemetry=telemetry, metrics=metrics
+    )
     scheduler = TaskScheduler(
         crew, retries=retries, backoff_base_s=backoff_base_s
     )
@@ -70,7 +91,7 @@ def run_supervised(
             outcomes.extend(scheduler.step())
     finally:
         crew.shutdown()
-    return outcomes, crew.stats
+    return outcomes, metrics.counters
 
 
 class TestSupervisedPool:
@@ -83,7 +104,7 @@ class TestSupervisedPool:
         assert all(outcome == ("ok", i * 2, 0.0) for i, _, outcome in out)
 
     def test_crashed_worker_is_replaced_and_task_retried(self, tmp_path):
-        [(index, _, (status, payload, _))], stats = run_supervised(
+        [(index, _, (status, payload, _))], counters = run_supervised(
             crash_once_then_succeed,
             [(0, str(tmp_path / "flag"))],
             1,
@@ -91,9 +112,9 @@ class TestSupervisedPool:
             backoff_base_s=0.05,
         )
         assert (index, status, payload) == (0, "ok", "recovered")
-        assert stats.crashes == 1
-        assert stats.retries == 1
-        assert stats.workers_replaced == 1
+        assert counters["core.crashes"] == 1
+        assert counters["core.retries"] == 1
+        assert counters["core.workers_replaced"] == 1
 
     def test_crash_without_retries_is_reported_not_lost(self, tmp_path):
         [(index, _, (status, message, _))], _ = run_supervised(
@@ -105,21 +126,21 @@ class TestSupervisedPool:
         assert "retries exhausted" in message
 
     def test_timeout_kills_the_worker(self):
-        [(index, _, (status, message, _))], stats = run_supervised(
+        [(index, _, (status, message, _))], counters = run_supervised(
             hang, [(0, "x")], 1, timeout_s=0.3
         )
         assert index == 0
         assert status == "error"
         assert "timeout" in message
-        assert stats.timeouts == 1
+        assert counters["core.timeouts"] == 1
 
     def test_task_exceptions_are_not_retried(self):
-        [(_, _, (status, message, _))], stats = run_supervised(
+        [(_, _, (status, message, _))], counters = run_supervised(
             always_raises, [(0, "x")], 1, retries=3
         )
         assert status == "error"
         assert "deterministic divergence" in message
-        assert stats.retries == 0
+        assert counters["core.retries"] == 0
 
     def test_sibling_tasks_survive_a_crash(self, tmp_path):
         # One crashing task among well-behaved ones: everyone completes.
@@ -234,8 +255,8 @@ class TestCheckpointResume:
         results = resumed.results(self.sweep())
         assert results == reference
         # The point completed before the interrupt was replayed, not rerun.
-        assert resumed.stats.cached == 1
-        assert resumed.stats.executed == 2
+        assert resumed.metrics.counters["core.cache_hits"] == 1
+        assert resumed.metrics.counters["core.executed"] == 2
 
     def test_checkpoint_results_validate_on_read(self, tmp_path):
         sweep = self.sweep()[:2]
@@ -245,8 +266,9 @@ class TestCheckpointResume:
         ResultCache(tmp_path).path(sweep[0].cache_key).write_bytes(b"junk")
         resumed = ExperimentRunner(jobs=1, cache_dir=tmp_path)
         assert resumed.results(sweep) == first
-        assert (resumed.stats.executed, resumed.stats.cached) == (1, 1)
-        assert resumed.cache.evictions == 1
+        counters = resumed.metrics.counters
+        assert (counters["core.executed"], counters["core.cache_hits"]) == (1, 1)
+        assert counters["core.cache_evictions"] == 1
 
     def test_interrupted_pooled_sweep_reaps_every_worker(self, tmp_path):
         def interrupt_at_first(outcome, completed, total):
@@ -269,10 +291,27 @@ class TestRunnerTimeout:
         [outcome] = runner.run([tiny_task()])
         assert not outcome.ok
         assert "timeout" in outcome.error
-        assert runner.stats.failed == 1
+        assert runner.metrics.counters["core.failed"] == 1
 
     def test_timeout_validation(self):
         with pytest.raises(ConfigurationError):
             ExperimentRunner(timeout_s=-1.0)
         with pytest.raises(ConfigurationError):
             ExperimentRunner(retries=-1)
+
+
+class TestRunnerCounters:
+    def test_pooled_crash_and_retry_are_counted(self, tmp_path):
+        # A local pooled sweep counts its supervision events on the
+        # runner's own registry.
+        crashing = CrashOnceTask(
+            "performance", tiny_task(1).config, tiny_task(1).kwargs,
+            flag_path=str(tmp_path / "flag"),
+        )
+        runner = ExperimentRunner(jobs=2, retries=1, backoff_base_s=0.05)
+        outcomes = runner.run([crashing, tiny_task(2)])
+        assert all(outcome.ok for outcome in outcomes)
+        counters = runner.metrics.counters
+        assert counters["core.crashes"] == 1
+        assert counters["core.retries"] == 1
+        assert counters["core.executed"] == 2

@@ -20,6 +20,15 @@ import os
 import signal
 import time
 
+#: Every counter a service's ``/v1/stats`` lists, from the first request.
+SERVICE_COUNTERS = (
+    "core.cache_evictions", "core.cache_hits", "core.cache_misses",
+    "core.crashes", "core.retries", "core.timeouts", "core.workers_replaced",
+    "serve.accepted", "serve.cache_hits", "serve.deduped", "serve.executed",
+    "serve.failed", "serve.frames_dropped", "serve.frames_routed",
+    "serve.recovered", "serve.shed",
+)
+
 
 def spec_for(seed: int, scale: float = 0.02, **kwargs) -> dict:
     spec = {
@@ -74,7 +83,7 @@ def drain_gated(service, gate: str, timeout_s: float = 10.0) -> None:
         os.unlink(gate)
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        if service.stats_view()["depth"] == 0:
+        if service.stats_view()["gauges"]["serve.depth"] == 0:
             return
         time.sleep(0.02)
     raise AssertionError("service did not drain in time")

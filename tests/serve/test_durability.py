@@ -39,7 +39,7 @@ class TestConcurrentCacheStores:
         result = cache.load("contested")
         assert result is not None
         assert set(result) == {"worker", "round"}
-        assert cache.evictions == 0
+        assert cache.metrics.counters.get("core.cache_evictions", 0) == 0
         # Every temp file was cleaned up (unique names per writer).
         assert list(tmp_path.glob("*.tmp")) == []
 

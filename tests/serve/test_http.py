@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from repro.serve import ExperimentService, make_daemon
 from repro.serve.http import ServeDaemon
 
-from .helpers import drain_gated, emitting_work, scripted_work, spec_for
+from .helpers import (
+    SERVICE_COUNTERS,
+    drain_gated,
+    emitting_work,
+    scripted_work,
+    spec_for,
+)
 
 
 @pytest.fixture
@@ -208,7 +214,7 @@ class TestSubmission:
         drain_gated(server.service, gate)
         hows = sorted(body["submitted"] for _, _, body in results)
         assert hows == ["deduped"] * 5 + ["queued"]
-        assert server.service.stats.executed == 1
+        assert server.service.metrics.counters["serve.executed"] == 1
 
     def test_malformed_spec_maps_to_400(self, server):
         status, _, body = server.request(
@@ -243,13 +249,13 @@ class TestSubmission:
         ],
     )
     def test_malformed_request_field_maps_to_400(self, shared_server, field):
-        accepted = shared_server.service.stats.accepted
+        accepted = shared_server.service.metrics.counters["serve.accepted"]
         status, _, body = shared_server.request(
             "/v1/experiments", {"spec": spec_for(15), **field}
         )
         assert status == 400
         assert body["error"].startswith(f"{next(iter(field))}: expected")
-        assert shared_server.service.stats.accepted == accepted
+        assert shared_server.service.metrics.counters["serve.accepted"] == accepted
 
     def test_sweep_with_a_malformed_priority_maps_to_400(self, shared_server):
         status, _, body = shared_server.request(
@@ -426,7 +432,7 @@ class TestChaosEndpoint:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 view = server.service.stats_view()
-                if view["jobs"].get("running"):
+                if view["gauges"]["serve.jobs.running"]:
                     break
                 time.sleep(0.02)
             status, _, _ = server.request("/v1/chaos/kill-worker", {})
@@ -434,7 +440,7 @@ class TestChaosEndpoint:
             drain_gated(server.service, gate)
             _, _, view = server.request(f"/v1/jobs/{body['job']}")
             assert view["status"] == "done"
-            assert server.service.pool_stats.crashes == 1
+            assert server.service.metrics.counters["core.crashes"] == 1
 
 
 class TestHealth:
@@ -443,8 +449,14 @@ class TestHealth:
         assert status == 200 and body["ok"] is True
         status, _, stats = server.request("/v1/stats")
         assert status == 200
-        assert stats["budget"] == server.service.max_queue
-        assert "supervision" in stats
+        assert stats["gauges"]["serve.budget"] == server.service.max_queue
+        assert "core.crashes" in stats["counters"]
+
+    def test_fresh_daemon_lists_every_counter_at_zero(self, server):
+        status, _, stats = server.request("/v1/stats")
+        assert status == 200
+        assert list(stats) == ["counters", "gauges", "totals", "histograms"]
+        assert stats["counters"] == dict.fromkeys(SERVICE_COUNTERS, 0)
 
     def test_keep_alive_replies_are_not_held_back(self, shared_server):
         # Headers and body go out as two writes; with Nagle's algorithm

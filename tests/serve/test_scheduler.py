@@ -66,7 +66,7 @@ class TestBackoffDeterminism:
 
 class TestTimeoutWithSiblings:
     def test_hung_task_is_killed_while_siblings_complete(self):
-        out, stats = run_supervised(
+        out, counters = run_supervised(
             slow_if_zero, [(i, i) for i in range(5)], 3, timeout_s=1.5
         )
         outcomes = {i: outcome for i, _, outcome in out}
@@ -76,8 +76,8 @@ class TestTimeoutWithSiblings:
         assert "timeout" in detail0
         for i in (1, 2, 3, 4):
             assert outcomes[i] == ("ok", i * 10, 0.0)
-        assert stats.timeouts == 1
-        assert stats.workers_replaced == 1
+        assert counters["core.timeouts"] == 1
+        assert counters["core.workers_replaced"] == 1
 
 
 class TestWorkerCrew:
@@ -116,8 +116,8 @@ class TestWorkerCrew:
                 outcomes = scheduler.step(0.1)
             [(index, _, (status, payload, _))] = outcomes
             assert (index, status, payload) == (0, "ok", "payload")
-            assert crew.stats.crashes == 1
-            assert crew.stats.retries == 1
+            assert crew.metrics.counters["core.crashes"] == 1
+            assert crew.metrics.counters["core.retries"] == 1
         finally:
             crew.shutdown()
 
@@ -131,7 +131,7 @@ class TestWorkerCrew:
             # The dead worker is replaced inline and the task lands on
             # the replacement instead of raising BrokenPipeError.
             assert crew.try_assign(0, 1) is True
-            assert crew.stats.workers_replaced == 1
+            assert crew.metrics.counters["core.workers_replaced"] == 1
             events = []
             deadline = time.monotonic() + 10.0
             while not events and time.monotonic() < deadline:

@@ -1,6 +1,7 @@
 """Tests for the service core: single-flight dedup, admission control,
 crash recovery through the ledger, and bit-identical results."""
 
+import json
 import os
 import statistics
 import sys
@@ -13,7 +14,13 @@ from repro.errors import ConfigurationError, ServiceError, ServiceOverloaded
 from repro.serve import ExperimentService, RunLedger, result_digest
 from repro.serve.service import DONE, FAILED
 
-from .helpers import drain_gated, scripted_work, spec_for, tiny_real_spec
+from .helpers import (
+    SERVICE_COUNTERS,
+    drain_gated,
+    scripted_work,
+    spec_for,
+    tiny_real_spec,
+)
 
 
 @pytest.fixture
@@ -65,9 +72,9 @@ class TestSingleFlight:
             assert sorted(hows) == ["deduped"] * 7 + ["queued"]
             drain_gated(service, gate)
             wait_done(service, jobs[0])
-            assert service.stats.executed == 1
-            assert service.stats.accepted == 1
-            assert service.stats.deduped == 7
+            assert service.metrics.counters["serve.executed"] == 1
+            assert service.metrics.counters["serve.accepted"] == 1
+            assert service.metrics.counters["serve.deduped"] == 7
         finally:
             service.stop()
 
@@ -81,8 +88,8 @@ class TestSingleFlight:
             again, how2 = service.submit(spec_for(5))
             assert how2 == "done"
             assert again.state == DONE
-            assert service.stats.executed == 1
-            assert service.stats.cache_hits == 1
+            assert service.metrics.counters["serve.executed"] == 1
+            assert service.metrics.counters["serve.cache_hits"] == 1
         finally:
             service.stop()
 
@@ -99,7 +106,7 @@ class TestAdmissionControl:
             assert shed.value.depth == 3
             assert shed.value.budget == 3
             assert 1.0 <= shed.value.retry_after_s <= 120.0
-            assert service.stats.shed == 1
+            assert service.metrics.counters["serve.shed"] == 1
             # Dedup against an in-flight job is NOT shed even at budget.
             _, how = service.submit(spec_for(700))
             assert how == "deduped"
@@ -117,7 +124,7 @@ class TestAdmissionControl:
         try:
             with pytest.raises(ConfigurationError):
                 service.submit({"workload": "bogus"})
-            assert service.stats.accepted == 0
+            assert service.metrics.counters["serve.accepted"] == 0
         finally:
             service.stop()
 
@@ -130,7 +137,7 @@ class TestAdmissionControl:
         service = make_service(tmp_path)
         with pytest.raises(ServiceError, match="^priority: expected one of"):
             service.submit(spec_for(20), priority=priority)
-        assert service.stats.accepted == 0
+        assert service.metrics.counters["serve.accepted"] == 0
         assert service._heap == []
 
     @pytest.mark.parametrize(
@@ -204,7 +211,7 @@ class TestEventDrivenEngine:
             service.stop()
         assert errors == []
         assert len(jobs) == 40 and all(job.state == DONE for job in jobs)
-        assert service.stats.executed == 40
+        assert service.metrics.counters["serve.executed"] == 40
 
     def test_stop_joins_the_engine_promptly(self, tmp_path):
         service = make_service(tmp_path)
@@ -228,20 +235,20 @@ class TestFailureSemantics:
             wait_done(service, job)
             assert job.state == FAILED
             assert "scripted deterministic failure" in job.error
-            assert service.pool_stats.retries == 0
+            assert service.metrics.counters["core.retries"] == 0
         finally:
             service.stop()
         # Restart: the failure is recalled from the ledger, not re-run.
         again = make_service(tmp_path)
         again.start()
         try:
-            assert again.stats.recovered == 0
+            assert again.metrics.counters["serve.recovered"] == 0
             recalled = again.job(job.key)
             assert recalled is not None and recalled.state == FAILED
             resubmitted, how = again.submit(spec_for(666))
             assert how == "deduped"
             assert resubmitted.state == FAILED
-            assert again.stats.executed == 0
+            assert again.metrics.counters["serve.executed"] == 0
         finally:
             again.stop()
 
@@ -252,8 +259,8 @@ class TestFailureSemantics:
             job, _ = service.submit(spec_for(901))  # SIGKILLs on attempt 1
             wait_done(service, job, timeout_s=30.0)
             assert job.state == DONE
-            assert service.pool_stats.crashes == 1
-            assert service.pool_stats.retries == 1
+            assert service.metrics.counters["core.crashes"] == 1
+            assert service.metrics.counters["core.retries"] == 1
         finally:
             service.stop()
 
@@ -276,7 +283,7 @@ class TestRecovery:
         revived = make_service(tmp_path)
         revived.start()
         try:
-            assert revived.stats.recovered == 3
+            assert revived.metrics.counters["serve.recovered"] == 3
             for key in keys:
                 job = revived.job(key)
                 assert job is not None
@@ -339,7 +346,7 @@ class TestRecovery:
             job = service.job("stale-key")
             assert job is not None and job.state == FAILED
             assert "no longer decodes" in job.error
-            assert service.stats.recovered == 0
+            assert service.metrics.counters["serve.recovered"] == 0
         finally:
             service.stop()
         replayed = RunLedger(tmp_path / "state")
@@ -355,7 +362,7 @@ class TestPrioritiesAndViews:
         try:
             blocker, _ = service.submit(spec_for(760))  # occupies the worker
             deadline = time.monotonic() + 10.0
-            while service.stats_view()["jobs"].get("running", 0) == 0:
+            while service.stats_view()["gauges"]["serve.jobs.running"] == 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
             low, _ = service.submit(spec_for(10), priority="low")
@@ -366,6 +373,27 @@ class TestPrioritiesAndViews:
             assert high.finished_s < low.finished_s
         finally:
             service.stop()
+
+    def test_fresh_stats_view_is_a_registry_snapshot(self, tmp_path):
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            view = service.stats_view()
+        finally:
+            service.stop()
+        assert json.loads(json.dumps(view)) == view
+        assert list(view) == ["counters", "gauges", "totals", "histograms"]
+        assert view["counters"] == dict.fromkeys(SERVICE_COUNTERS, 0)
+        assert view["gauges"] == {
+            "serve.budget": 32,
+            "serve.depth": 0,
+            "serve.jobs.done": 0,
+            "serve.jobs.failed": 0,
+            "serve.jobs.queued": 0,
+            "serve.jobs.running": 0,
+            "serve.uptime_s": view["gauges"]["serve.uptime_s"],
+            "serve.workers": 2,
+        }
 
     def test_job_view_carries_the_digest_witness(self, tmp_path):
         service = make_service(tmp_path)

@@ -1,4 +1,4 @@
-"""Unit + property tests for Tally, Counter, and histogram."""
+"""Unit + property tests for Tally and histogram."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, Tally, histogram
+from repro.sim.stats import Tally, histogram
 
 
 class TestTally:
@@ -73,22 +73,6 @@ def test_property_tally_matches_naive(values):
     assert math.isclose(tally.mean, mean, rel_tol=1e-9, abs_tol=1e-6)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
     assert math.isclose(tally.variance, variance, rel_tol=1e-6, abs_tol=1e-3)
-
-
-class TestCounter:
-    def test_incr_and_get(self):
-        counter = Counter()
-        counter.incr("reads")
-        counter.incr("reads", 4)
-        assert counter.get("reads") == 5
-        assert counter.get("missing") == 0
-
-    def test_as_dict_snapshot(self):
-        counter = Counter()
-        counter.incr("a")
-        snapshot = counter.as_dict()
-        counter.incr("a")
-        assert snapshot == {"a": 1}
 
 
 class TestHistogram:

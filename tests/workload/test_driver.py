@@ -41,7 +41,7 @@ class TestDriver:
         driver.populate()
         driver.start_users()
         sim.run(until=2_000.0)
-        total_ops = sum(driver.op_counts.as_dict().values())
+        total_ops = sum(t.count for t in driver.op_latency.values())
         assert total_ops > 20
         assert fs.bytes_read + fs.bytes_written > 0
 
@@ -62,8 +62,7 @@ class TestDriver:
         driver.mode = "sequential"
         driver.start_users()
         sim.run(until=3_000.0)
-        counts = driver.op_counts.as_dict()
-        assert set(counts) <= {"read", "write"}
+        assert set(driver.op_latency) <= {"read", "write"}
 
     def test_governor_converts_extends(self):
         sim, fs = make_fs()
@@ -88,7 +87,9 @@ class TestDriver:
             driver.populate()
             driver.start_users()
             sim.run(until=3_000.0)
-            counts.append(driver.op_counts.as_dict())
+            counts.append(
+                {op: t.count for op, t in driver.op_latency.items()}
+            )
         assert counts[0] == counts[1]
 
 

@@ -4,8 +4,8 @@ from repro.sim.rng import RandomStream
 from repro.workload.filetype import AccessPattern, Operation
 from repro.workload.ops import (
     pick_offset,
-    pick_operation,
     plan_operation,
+    prepare_weights,
     sample_initial_size,
     sample_rw_size,
 )
@@ -15,9 +15,11 @@ from tests.workload.test_filetype import make_type
 class TestPlanning:
     def test_pick_operation_respects_weights(self):
         rng = RandomStream(1)
-        weights = {Operation.READ: 100.0, Operation.WRITE: 0.0}
+        file_type = make_type()
+        weights = prepare_weights({Operation.READ: 100.0, Operation.WRITE: 0.0})
         assert all(
-            pick_operation(rng, weights) is Operation.READ for _ in range(50)
+            plan_operation(rng, file_type, weights)[0] is Operation.READ
+            for _ in range(50)
         )
 
     def test_rw_size_positive(self):
@@ -38,9 +40,11 @@ class TestPlanning:
             read_ratio=0.0, write_ratio=0.0, extend_ratio=0.0,
             truncate_ratio=100.0, delete_ratio=0.0,
         )
-        planned = plan_operation(rng, file_type, file_type.operation_weights)
-        assert planned.op is Operation.TRUNCATE
-        assert planned.size_bytes == file_type.truncate_size_bytes
+        op, size = plan_operation(
+            rng, file_type, prepare_weights(file_type.operation_weights)
+        )
+        assert op is Operation.TRUNCATE
+        assert size == file_type.truncate_size_bytes
 
     def test_delete_size_is_replacement_initial(self):
         rng = RandomStream(5)
@@ -49,9 +53,11 @@ class TestPlanning:
             truncate_ratio=0.0, delete_ratio=100.0,
             initial_size_bytes=5000, initial_deviation_bytes=0,
         )
-        planned = plan_operation(rng, file_type, file_type.operation_weights)
-        assert planned.op is Operation.DELETE
-        assert planned.size_bytes == 5000
+        op, size = plan_operation(
+            rng, file_type, prepare_weights(file_type.operation_weights)
+        )
+        assert op is Operation.DELETE
+        assert size == 5000
 
 
 class TestOffsets:

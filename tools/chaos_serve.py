@@ -216,7 +216,8 @@ def drill_restart(scratch: Path) -> None:
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
         _, _, stats = request(daemon.base, "/v1/stats")
-        if stats["executed"] >= 1 and stats["depth"] >= 1:
+        executed = stats["counters"]["serve.executed"]
+        if executed >= 1 and stats["gauges"]["serve.depth"] >= 1:
             break
         time.sleep(0.05)
     else:
@@ -227,9 +228,10 @@ def drill_restart(scratch: Path) -> None:
     revived = Daemon(state)
     try:
         _, _, stats = request(revived.base, "/v1/stats")
-        if stats["recovered"] < 1:
+        recovered = stats["counters"]["serve.recovered"]
+        if recovered < 1:
             raise ChaosFailure(
-                f"restart recovered {stats['recovered']} jobs; expected >= 1"
+                f"restart recovered {recovered} jobs; expected >= 1"
             )
         after = digests_of(revived.base, keys)
     finally:
@@ -251,7 +253,7 @@ def drill_worker_kill(scratch: Path) -> None:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             _, _, stats = request(daemon.base, "/v1/stats")
-            if stats["jobs"].get("running"):
+            if stats["gauges"]["serve.jobs.running"]:
                 break
             time.sleep(0.05)
         status, _, _ = request(daemon.base, "/v1/chaos/kill-worker", {})
@@ -259,7 +261,7 @@ def drill_worker_kill(scratch: Path) -> None:
             raise ChaosFailure(f"chaos endpoint returned {status}")
         view = await_job(daemon.base, key)
         _, _, stats = request(daemon.base, "/v1/stats")
-        if stats["supervision"]["crashes"] < 1:
+        if stats["counters"]["core.crashes"] < 1:
             raise ChaosFailure("the worker kill was never observed as a crash")
         if view["summary"]["result_digest"] != next(iter(reference.values())):
             raise ChaosFailure("digest after worker kill differs from clean run")
@@ -289,9 +291,9 @@ def drill_corrupt_cache(scratch: Path) -> None:
         if view["summary"]["result_digest"] != good:
             raise ChaosFailure("re-executed digest differs after corruption")
         _, _, stats = request(revived.base, "/v1/stats")
-        if stats["cache"]["evictions"] < 1:
+        if stats["counters"]["core.cache_evictions"] < 1:
             raise ChaosFailure("corrupt entry was not evicted")
-        if stats["executed"] < 1:
+        if stats["counters"]["serve.executed"] < 1:
             raise ChaosFailure("corrupt entry was served instead of re-run")
     finally:
         revived.stop()
@@ -344,17 +346,19 @@ def drill_dedup(scratch: Path) -> None:
             raise ChaosFailure(f"expected one job key, got {len(keys)}")
         await_job(daemon.base, keys.pop())
         _, _, stats = request(daemon.base, "/v1/stats")
-        if stats["executed"] != 1:
+        counters = stats["counters"]
+        if counters["serve.executed"] != 1:
             raise ChaosFailure(
-                f"{stats['executed']} simulations for 32 identical requests"
+                f"{counters['serve.executed']} simulations for 32 identical requests"
             )
         # Stragglers arriving after completion are cache hits rather
         # than dedups; either way they must not have simulated.
-        served = stats["deduped"] + stats["cache_hits"]
+        deduped, hits = counters["serve.deduped"], counters["serve.cache_hits"]
+        served = deduped + hits
         if served != 31:
             raise ChaosFailure(
                 f"deduped+cache_hits={served}, expected 31 "
-                f"(deduped={stats['deduped']}, hits={stats['cache_hits']})"
+                f"(deduped={deduped}, hits={hits})"
             )
     finally:
         daemon.stop()

@@ -120,15 +120,16 @@ def main() -> int:
     if resumed_results != reference:
         print("FAIL: resumed sweep results differ from an uninterrupted run")
         return 1
-    if resumed.stats.cached < survivors:
+    replayed = resumed.metrics.counters["core.cache_hits"]
+    if replayed < survivors:
         print(
-            f"FAIL: only {resumed.stats.cached} points replayed from the "
+            f"FAIL: only {replayed} points replayed from the "
             f"cache; {survivors} were stored before the kill"
         )
         return 1
     print(
-        f"OK: resumed sweep is bit-identical ({resumed.stats.cached} "
-        f"replayed, {resumed.stats.executed} re-run)"
+        f"OK: resumed sweep is bit-identical ({replayed} "
+        f"replayed, {resumed.metrics.counters['core.executed']} re-run)"
     )
     return 0
 
