@@ -74,7 +74,7 @@ def measure_policy(policy, system, seed) -> float:
     from repro.sim.meters import ThroughputMeter
 
     meter = ThroughputMeter(array.max_bandwidth_bytes_per_ms, start_time=sim.now)
-    fs.meter = meter
+    sim.meter = meter
     started = sim.now
     sim.run(until=started + 60_000)
     return meter.stable_utilization(sim.now)

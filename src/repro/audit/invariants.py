@@ -14,7 +14,7 @@ at freeze it sweeps a registry of per-subsystem checks:
 * **fs** — every live file's extent map agrees with its allocator
   handle; no dangling handles.
 * **disk** — per-drive accounting (enqueued == served + queued +
-  in-service) and FCFS order preservation.
+  in-service) and submission-order preservation (FCFS and elevator).
 * **clock** — simulated time never moves backwards.
 * **rng** — per-stream draw counts only ever grow.
 * **fault** — injector, per-drive flags, and the organization's
@@ -303,17 +303,19 @@ class InvariantAuditor:
                     f"drive {drive.index} is busy with no request on record",
                     excerpt=self._excerpt(),
                 )
-            if drive.discipline == "fcfs":
-                last = float("-inf")
-                for _, _, submitted_at, _ in drive._queue:
-                    if submitted_at < last:
-                        raise InvariantViolation(
-                            sim.now, "disk", "queue-accounting",
-                            f"drive {drive.index}: FCFS order violated "
-                            f"({submitted_at!r} queued behind {last!r})",
-                            excerpt=self._excerpt(),
-                        )
-                    last = submitted_at
+            # Both disciplines keep the queue in submission order: FCFS
+            # pops the head, the elevator deletes its pick by position,
+            # and submissions always append at the tail.
+            last = float("-inf")
+            for _, _, submitted_at, _ in drive._queue:
+                if submitted_at < last:
+                    raise InvariantViolation(
+                        sim.now, "disk", "queue-accounting",
+                        f"drive {drive.index}: submission order violated "
+                        f"({submitted_at!r} queued behind {last!r})",
+                        excerpt=self._excerpt(),
+                    )
+                last = submitted_at
 
     def _check_rng(self, sim) -> None:
         for key, stream in self.ledger.items():

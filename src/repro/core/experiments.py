@@ -273,9 +273,8 @@ def _prefill(
     if not growers:
         return
     rng = RandomStream(seed, "prefill")
-    # Prepared once: same cumulative sums (left-to-right float additions)
-    # and the same single uniform draw per pick as weighted_choice, so
-    # the chosen sequence is bit-identical to rebuilding per iteration.
+    # Prepared once, outside the loop: each pick is then one uniform
+    # draw and one bisect over the same cumulative sums.
     prepared = PreparedWeights(
         growers, [t.extend_ratio * t.event_rate for t in growers]
     )
@@ -298,7 +297,6 @@ def _prefill(
 
 def _measure_phase(
     sim: Simulator,
-    fs: FileSystem,
     max_bandwidth: float,
     cap_ms: float,
     interval_ms: float,
@@ -308,14 +306,14 @@ def _measure_phase(
 ) -> PhaseResult:
     """Attach a fresh meter, run to stabilization or the cap, report."""
     meter = ThroughputMeter(max_bandwidth, interval_ms, start_time=sim.now)
-    fs.meter = meter
+    sim.meter = meter
     monitor = _PhaseMonitor(
         sim, meter, interval_ms, window, tolerance, stage=stage, cap_ms=cap_ms
     )
     started = sim.now
     sim.run(until=started + cap_ms)
     monitor.retire()
-    fs.meter = None
+    sim.meter = None
     return PhaseResult(
         utilization=meter.stable_utilization(sim.now, window),
         stabilized=monitor.fired,
@@ -490,14 +488,14 @@ def run_performance_experiment(
         application = idle
         if run_application:
             application = _measure_phase(
-                sim, fs, max_bandwidth, app_cap_ms, interval_ms, window,
+                sim, max_bandwidth, app_cap_ms, interval_ms, window,
                 tolerance, stage="application",
             )
         sequential = idle
         if run_sequential:
             driver.mode = "sequential"
             sequential = _measure_phase(
-                sim, fs, max_bandwidth, seq_cap_ms, interval_ms, window,
+                sim, max_bandwidth, seq_cap_ms, interval_ms, window,
                 tolerance, stage="sequential",
             )
 

@@ -44,8 +44,6 @@ class DiskSystem(abc.ABC):
         self.sim = sim
         self.disk_unit_bytes = disk_unit_bytes
         self.drives: list[QueuedDrive] = []
-        #: Optional ThroughputMeter credited as each drive request completes.
-        self.meter = None
         #: Attached by :class:`~repro.fault.injector.FaultInjector`; None
         #: for every fault-free simulation.
         self.fault_injector = None
@@ -126,17 +124,6 @@ class DiskSystem(abc.ABC):
         return sum(d.utilization(elapsed_ms) for d in self.drives) / len(self.drives)
 
 
-def _merge_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge byte runs that are contiguous on the same drive."""
-    merged: list[tuple[int, int]] = []
-    for start, length in runs:
-        if merged and merged[-1][0] + merged[-1][1] == start:
-            merged[-1] = (merged[-1][0], merged[-1][1] + length)
-        else:
-            merged.append((start, length))
-    return merged
-
-
 class StripedArray(DiskSystem):
     """Round-robin striping across N identical drives.
 
@@ -172,9 +159,7 @@ class StripedArray(DiskSystem):
         self.stripe_unit_bytes = stripe_unit_bytes
         self._per_drive_bytes = per_drive
         self.drives = [
-            QueuedDrive(
-                sim, geometry, owner=self, discipline=queue_discipline, index=i
-            )
+            QueuedDrive(sim, geometry, discipline=queue_discipline, index=i)
             for i in range(n_disks)
         ]
 
@@ -190,63 +175,23 @@ class StripedArray(DiskSystem):
         row = stripe // self.n_disks
         return drive, row * self.stripe_unit_bytes + offset
 
-    def _per_drive_runs(
-        self, start_unit: int, n_units: int
-    ) -> list[list[tuple[int, int]]]:
-        """Split a linear span into contiguous per-drive byte runs."""
-        runs: list[list[tuple[int, int]]] = [[] for _ in range(self.n_disks)]
-        byte = start_unit * self.disk_unit_bytes
-        remaining = n_units * self.disk_unit_bytes
-        su = self.stripe_unit_bytes
-        while remaining > 0:
-            stripe, offset = divmod(byte, su)
-            chunk = min(su - offset, remaining)
-            drive = stripe % self.n_disks
-            row = stripe // self.n_disks
-            runs[drive].append((row * su + offset, chunk))
-            byte += chunk
-            remaining -= chunk
-        return [_merge_runs(r) for r in runs]
+    def split(self, start_unit: int, n_units: int) -> list[tuple[int, int, int]]:
+        """Split a linear span into per-drive byte runs.
 
-    def transfer(self, kind: IoKind, start_unit: int, n_units: int) -> Waitable:
-        """One fused pass: split, merge, validate, submit.
-
-        The former ``_per_drive_runs`` → ``_merge_runs`` → submit-loop
-        pipeline built three generations of intermediate lists per
-        transfer; here the per-drive runs are accumulated already merged
-        (chunks arrive in ascending byte order, so adjacency is a tail
-        check), with a short-circuit for the single-stripe-unit transfers
-        that dominate small-request workloads.  Requests are still
-        validated against offline drives before anything is submitted,
-        and submission stays drive-major — the produced request stream is
-        identical to the unfused path's.
+        Returns ``(drive index, drive byte, length)`` triples, drive-major
+        (ascending drive, then ascending byte), with each drive's runs
+        merged where the span wraps back onto the next row contiguously.
+        Chunks arrive in ascending byte order, so merging is a tail check;
+        the single-stripe-unit spans that dominate small-request
+        workloads short-circuit to one triple.
         """
-        if n_units <= 0:
-            raise InvalidRequestError(f"non-positive transfer: {n_units}")
-        if start_unit < 0 or start_unit + n_units > self.capacity_units:
-            raise InvalidRequestError(
-                f"transfer [{start_unit}, {start_unit + n_units}) outside "
-                f"capacity {self.capacity_units} units"
-            )
-        unit = self.disk_unit_bytes
         su = self.stripe_unit_bytes
         n_disks = self.n_disks
-        drives = self.drives
-        stripe, offset = divmod(start_unit * unit, su)
-        remaining = n_units * unit
+        stripe, offset = divmod(start_unit * self.disk_unit_bytes, su)
+        remaining = n_units * self.disk_unit_bytes
         if offset + remaining <= su:
-            # Entirely inside one stripe unit: one drive, one request.
-            drive = drives[stripe % n_disks]
-            state = drive.fault_state
-            if state is not None and not state.available:
-                raise DataUnavailableError(
-                    f"drive {stripe % n_disks} is offline and the striped "
-                    f"array has no redundancy to mask it"
-                )
-            request = DiskRequest(
-                kind, (stripe // n_disks) * su + offset, remaining
-            )
-            return AllOf([drive.submit(request)])
+            row, drive_index = divmod(stripe, n_disks)
+            return [(drive_index, row * su + offset, remaining)]
         per_drive: list[list[tuple[int, int]] | None] = [None] * n_disks
         while remaining > 0:
             chunk = su - offset
@@ -266,10 +211,27 @@ class StripedArray(DiskSystem):
             remaining -= chunk
             stripe += 1
             offset = 0
-        # Validate before submitting anything: a span that touches an
-        # offline drive must fail whole, not leave sibling requests queued.
-        for drive_index, runs in enumerate(per_drive):
-            if runs is not None and not self._drive_available(drives[drive_index]):
+        return [
+            (drive_index, start_byte, length)
+            for drive_index, runs in enumerate(per_drive)
+            if runs is not None
+            for start_byte, length in runs
+        ]
+
+    def transfer(self, kind: IoKind, start_unit: int, n_units: int) -> Waitable:
+        """Split the span, validate it, submit one request per run.
+
+        Every run is checked against offline drives before anything is
+        submitted, so a span that touches a failed drive fails whole
+        instead of leaving sibling requests queued.  Submission is
+        drive-major, in :meth:`split` order.
+        """
+        self._check_span(start_unit, n_units)
+        runs = self.split(start_unit, n_units)
+        drives = self.drives
+        for drive_index, _, _ in runs:
+            state = drives[drive_index].fault_state
+            if state is not None and not state.available:
                 # No redundancy: data on a failed drive is simply gone
                 # until the replacement arrives.  The workload layer
                 # treats this like any other transient operation failure.
@@ -278,12 +240,10 @@ class StripedArray(DiskSystem):
                     f"has no redundancy to mask it"
                 )
         completions: list[Waitable] = []
-        for drive_index, runs in enumerate(per_drive):
-            if runs is None:
-                continue
-            submit = drives[drive_index].submit
-            for start_byte, length in runs:
-                completions.append(submit(DiskRequest(kind, start_byte, length)))
+        for drive_index, start_byte, length in runs:
+            completions.append(
+                drives[drive_index].submit(DiskRequest(kind, start_byte, length))
+            )
         return AllOf(completions)
 
 
@@ -310,7 +270,7 @@ class ConcatArray(DiskSystem):
         self.n_disks = n_disks
         self._per_drive_bytes = per_drive
         self.drives = [
-            QueuedDrive(sim, geometry, owner=self, index=i)
+            QueuedDrive(sim, geometry, index=i)
             for i in range(n_disks)
         ]
 

@@ -1,11 +1,16 @@
-"""FCFS request queue in front of each drive.
+"""The request queue in front of each drive: FCFS or elevator.
 
 The paper does not study queueing disciplines (no policy under evaluation
-touches scheduling), so requests are served first-come first-served — the
-1991-era default.  Each drive is busy with exactly one request at a time;
-submission returns a :class:`~repro.sim.engine.Waitable` that succeeds with
-the request's :class:`~repro.disk.request.ServiceBreakdown` when the
-transfer completes.
+touches scheduling), so every paper result serves requests first-come
+first-served — the 1991-era default.  The elevator (SCAN) discipline is
+an extension for scheduling-sensitivity studies: it serves the nearest
+queued request in the current sweep direction.  Under either discipline
+the queue itself stays in submission order (arrivals append at the tail;
+the elevator removes its pick by position).  Each drive is busy with
+exactly one request at a time; submission returns a
+:class:`~repro.sim.engine.Waitable` that succeeds with the request's
+:class:`~repro.disk.request.ServiceBreakdown` when the transfer
+completes.
 
 Observability: when the owning simulator carries a tracer, each request
 becomes a span tree on the drive's trace lane — ``disk.read``/``disk.write``
@@ -33,14 +38,14 @@ from .request import DiskRequest, IoKind, ServiceBreakdown
 
 
 class QueuedDrive:
-    """One drive plus its FCFS queue, wired into the event engine.
+    """One drive plus its request queue, wired into the event engine.
+
+    Every completed request credits the simulator's ``meter`` (when one
+    is attached) over its service span.  Metering at the drive level
+    counts the bytes the disk system actually moved, request by request,
+    so long logical transfers credit every interval they occupy.
 
     Args:
-        owner: the disk system this drive belongs to; when the owner has a
-            ``meter``, every completed request is credited to it over its
-            service span.  Metering at the drive level counts the bytes the
-            disk system actually moved, request by request, so long
-            logical transfers credit every interval they occupy.
         discipline: ``"fcfs"`` (the 1991 default used for every paper
             result) or ``"elevator"`` (SCAN: serve the nearest request in
             the current sweep direction — an extension for studying
@@ -53,14 +58,12 @@ class QueuedDrive:
         self,
         sim: Simulator,
         geometry: DiskGeometry,
-        owner: object | None = None,
         discipline: str = "fcfs",
         index: int = 0,
     ) -> None:
         if discipline not in ("fcfs", "elevator"):
             raise SimulationError(f"unknown queue discipline {discipline!r}")
         self.sim = sim
-        self.owner = owner
         self.discipline = discipline
         self.index = index
         self._use_elevator = discipline == "elevator"
@@ -218,7 +221,7 @@ class QueuedDrive:
         n_bytes: int,
         rspan=None,
     ) -> None:
-        meter = getattr(self.owner, "meter", None)
+        meter = sim.meter
         if meter is not None:
             meter.record_span(sim.now - breakdown.total_ms, sim.now, n_bytes)
         if rspan is not None:

@@ -60,17 +60,6 @@ class MirroredArray(DiskSystem):
         self._read_toggle = 0
 
     @property
-    def meter(self):
-        """Throughput meter, shared by both copies' drives."""
-        return self.primary.meter if hasattr(self, "primary") else None
-
-    @meter.setter
-    def meter(self, value) -> None:
-        if hasattr(self, "primary"):
-            self.primary.meter = value
-            self.secondary.meter = value
-
-    @property
     def capacity_bytes(self) -> int:
         return self.primary.capacity_bytes
 
@@ -84,11 +73,10 @@ class MirroredArray(DiskSystem):
 
     def _side_can_serve(self, side: StripedArray, start_unit: int, n_units: int) -> bool:
         """True when every drive the span touches on ``side`` is online."""
-        per_drive = side._per_drive_runs(start_unit, n_units)
+        drives = side.drives
         return all(
-            self._drive_available(side.drives[i])
-            for i, runs in enumerate(per_drive)
-            if runs
+            self._drive_available(drives[drive_index])
+            for drive_index, _, _ in side.split(start_unit, n_units)
         )
 
     @staticmethod
@@ -101,16 +89,12 @@ class MirroredArray(DiskSystem):
         takes the write, the dead drive's share is simply lost until the
         rebuild re-copies it from the peer.
         """
-        completions: list[Waitable] = []
-        per_drive = side._per_drive_runs(start_unit, n_units)
-        for drive_index, runs in enumerate(per_drive):
-            if not runs or not DiskSystem._drive_available(side.drives[drive_index]):
-                continue
-            for start_byte, length in runs:
-                completions.append(
-                    side.drives[drive_index].submit(DiskRequest(kind, start_byte, length))
-                )
-        return completions
+        drives = side.drives
+        return [
+            drives[drive_index].submit(DiskRequest(kind, start_byte, length))
+            for drive_index, start_byte, length in side.split(start_unit, n_units)
+            if DiskSystem._drive_available(drives[drive_index])
+        ]
 
     def transfer(self, kind: IoKind, start_unit: int, n_units: int) -> Waitable:
         self._check_span(start_unit, n_units)
@@ -145,7 +129,9 @@ class MirroredArray(DiskSystem):
         side = self.primary if self._read_toggle == 0 else self.secondary
         other = self.secondary if self._read_toggle == 0 else self.primary
         self._read_toggle ^= 1
-        if not self._side_can_serve(side, start_unit, n_units):
+        # With every drive online either copy can serve; only a degraded
+        # array needs the per-span check.
+        if self.degraded and not self._side_can_serve(side, start_unit, n_units):
             # Degraded read: fall over to the surviving copy.
             side = other
             metrics = self.sim.metrics
@@ -216,7 +202,7 @@ class Raid5Array(DiskSystem):
         from .queue import QueuedDrive  # local import avoids a cycle at module load
 
         self.drives = [
-            QueuedDrive(sim, geometry, owner=self, index=i)
+            QueuedDrive(sim, geometry, index=i)
             for i in range(n_disks)
         ]
 
@@ -437,16 +423,6 @@ class ParityStripedArray(DiskSystem):
         self.drives = self._data.drives
         # One drive's worth of space across the set is parity.
         self._data_fraction = (n_disks - 1) / n_disks
-
-    @property
-    def meter(self):
-        """Throughput meter, held by the underlying data layout."""
-        return self._data.meter if hasattr(self, "_data") else None
-
-    @meter.setter
-    def meter(self, value) -> None:
-        if hasattr(self, "_data"):
-            self._data.meter = value
 
     @property
     def capacity_bytes(self) -> int:

@@ -68,29 +68,6 @@ class ExtentMap:
 
     # -- queries ------------------------------------------------------------
 
-    def locate(self, unit_offset: int) -> tuple[int, int]:
-        """Map a logical unit offset to ``(extent index, offset within)``."""
-        cumulative = self._cumulative
-        if not cumulative or not 0 <= unit_offset < cumulative[-1]:
-            raise FileSystemError(
-                f"offset {unit_offset} outside mapped {self.total_units} units"
-            )
-        # Cursor fast path: the last extent hit, then its successor (the
-        # sequential advance), before falling back to a full bisect.
-        index = self._cursor
-        lower = cumulative[index - 1] if index else 0
-        if lower <= unit_offset:
-            if unit_offset < cumulative[index]:
-                return index, unit_offset - lower
-            nxt = index + 1
-            if nxt < len(cumulative) and unit_offset < cumulative[nxt]:
-                self._cursor = nxt
-                return nxt, unit_offset - cumulative[index]
-        index = bisect_right(cumulative, unit_offset)
-        self._cursor = index
-        previous_end = cumulative[index - 1] if index else 0
-        return index, unit_offset - previous_end
-
     def runs(self, unit_offset: int, n_units: int) -> list[tuple[int, int]]:
         """Linear disk runs covering a logical range, adjacency-merged.
 
@@ -108,9 +85,10 @@ class ExtentMap:
                 f"mapped {total} units"
             )
         extents = self._handle.extents
-        # locate()'s cursor fast path, inlined (runs() is the hottest
-        # caller, and the range check above already established
-        # ``0 <= unit_offset < total`` — n_units is positive).
+        # Locate the first unit: the cursor's extent, then its successor
+        # (the sequential advance), before falling back to a full bisect.
+        # The range check above already established
+        # ``0 <= unit_offset < total`` (n_units is positive).
         index = self._cursor
         lower = cumulative[index - 1] if index else 0
         within = -1

@@ -12,8 +12,8 @@ I/O methods are generators meant to run inside simulation processes::
 
 Timed data transfers go through the disk system; allocation itself is
 instantaneous (the policies' CPU cost is not what the paper measures).
-Completed transfer bytes are reported to an optional
-:class:`~repro.sim.meters.ThroughputMeter`.
+Throughput is metered below this layer: each completed drive request
+credits the simulator's :attr:`~repro.sim.engine.Simulator.meter`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from ..disk.request import IoKind
 from ..errors import DiskFullError, FileSystemError
 from ..obs.tracer import TID_FS
 from ..sim.engine import AllOf, Simulator
-from ..sim.meters import ThroughputMeter
 from ..units import ceil_div
 from .extmap import ExtentMap
 
@@ -87,20 +86,8 @@ class FileSystem:
     """Files on an allocation policy on a disk system."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        disk: DiskSystem,
-        allocator: Allocator,
-        meter: ThroughputMeter | None = None,
-        write_behind: bool = False,
+        self, sim: Simulator, disk: DiskSystem, allocator: Allocator
     ) -> None:
-        """Args:
-            write_behind: when True, writes return as soon as their disk
-                requests are queued instead of waiting for completion —
-                the [STON89] design the paper cites ("read ahead and
-                write behind are used to achieve full stripe reads and
-                writes").  Reads always wait for their data.
-        """
         if allocator.capacity_units > disk.capacity_units:
             raise FileSystemError(
                 f"allocator address space {allocator.capacity_units} exceeds "
@@ -109,9 +96,6 @@ class FileSystem:
         self.sim = sim
         self.disk = disk
         self.allocator = allocator
-        self.write_behind = write_behind
-        if meter is not None:
-            self.disk.meter = meter
         self.unit_bytes = disk.disk_unit_bytes
         self.files: dict[int, FsFile] = {}
         self._ids = itertools.count(1)
@@ -251,23 +235,8 @@ class FileSystem:
         end = min(offset_bytes + n_bytes, fs_file.length_bytes)
         if end <= offset_bytes:
             return 0
+        actual = end - offset_bytes
         tracer = self.sim.tracer
-        if tracer is None:
-            # Untraced hot path: the former _byte_range_runs + _transfer
-            # pair inlined into one descent (identical requests, identical
-            # AllOf join — only the call overhead is gone).
-            unit = self.unit_bytes
-            first_unit = offset_bytes // unit
-            transfer = self.disk.transfer
-            yield AllOf([
-                transfer(IoKind.READ, start, length)
-                for start, length in fs_file.extmap.runs(
-                    first_unit, (end - 1) // unit - first_unit + 1
-                )
-            ])
-            actual = end - offset_bytes
-            self.bytes_read += actual
-            return actual
         span = None
         if tracer is not None:
             span = tracer.begin(
@@ -275,17 +244,29 @@ class FileSystem:
                 "fs",
                 tracer.context,
                 TID_FS,
-                {"file": fs_file.fs_id, "bytes": end - offset_bytes},
+                {"file": fs_file.fs_id, "bytes": actual},
             )
             tracer.context = span.span_id
         try:
-            runs = self._byte_range_runs(fs_file, offset_bytes, end - offset_bytes)
-            yield from self._transfer(IoKind.READ, runs)
+            unit = self.unit_bytes
+            first_unit = offset_bytes // unit
+            transfer = self.disk.transfer
+            waitables = [
+                transfer(IoKind.READ, start, length)
+                for start, length in fs_file.extmap.runs(
+                    first_unit, (end - 1) // unit - first_unit + 1
+                )
+            ]
+            if span is not None:
+                # The ambient span context is only valid within one
+                # synchronous descent: reset it before suspending, so no
+                # unrelated callback adopts this span (see repro.obs.tracer).
+                tracer.context = 0
+            yield AllOf(waitables)
         finally:
             if span is not None:
                 tracer.end(span)
                 tracer.context = span.parent_id
-        actual = end - offset_bytes
         self.bytes_read += actual
         return actual
 
@@ -302,28 +283,6 @@ class FileSystem:
             offset_bytes = fs_file.length_bytes  # no holes: append instead
         end = offset_bytes + n_bytes
         tracer = self.sim.tracer
-        if tracer is None:
-            # Untraced hot path, mirroring read() above.
-            if end > fs_file.length_bytes:
-                self._grow_to(fs_file, end)
-            unit = self.unit_bytes
-            first_unit = offset_bytes // unit
-            runs = fs_file.extmap.runs(
-                first_unit, (end - 1) // unit - first_unit + 1
-            )
-            if self.write_behind:
-                # Queue the disk work and return immediately; the drives
-                # drain it in the background (the meter still sees it).
-                for start, length in runs:
-                    self.disk.transfer(IoKind.WRITE, start, length)
-            else:
-                transfer = self.disk.transfer
-                yield AllOf([
-                    transfer(IoKind.WRITE, start, length)
-                    for start, length in runs
-                ])
-            self.bytes_written += n_bytes
-            return n_bytes
         span = None
         if tracer is not None:
             span = tracer.begin(
@@ -337,18 +296,18 @@ class FileSystem:
         try:
             if end > fs_file.length_bytes:
                 self._grow_to(fs_file, end)
-            runs = self._byte_range_runs(fs_file, offset_bytes, n_bytes)
-            if self.write_behind:
-                # Queue the disk work and return immediately; the drives
-                # drain it in the background (and the meter still sees it).
-                # The deferred requests outlive this call, so they trace
-                # as roots rather than children of a span that has ended.
-                if span is not None:
-                    tracer.context = 0
-                for start, length in runs:
-                    self.disk.transfer(IoKind.WRITE, start, length)
-            else:
-                yield from self._transfer(IoKind.WRITE, runs)
+            unit = self.unit_bytes
+            first_unit = offset_bytes // unit
+            transfer = self.disk.transfer
+            waitables = [
+                transfer(IoKind.WRITE, start, length)
+                for start, length in fs_file.extmap.runs(
+                    first_unit, (end - 1) // unit - first_unit + 1
+                )
+            ]
+            if span is not None:
+                tracer.context = 0  # suspending: see read()
+            yield AllOf(waitables)
         finally:
             if span is not None:
                 tracer.end(span)
@@ -432,41 +391,3 @@ class FileSystem:
             fs_file.extmap = ExtentMap(handle)
         else:
             fs_file.extmap.sync_append(added)
-
-    def _byte_range_runs(
-        self, fs_file: FsFile, offset_bytes: int, n_bytes: int
-    ) -> list[tuple[int, int]]:
-        first_unit = offset_bytes // self.unit_bytes
-        last_unit = (offset_bytes + n_bytes - 1) // self.unit_bytes
-        return fs_file.extmap.runs(first_unit, last_unit - first_unit + 1)
-
-    @property
-    def meter(self):
-        """The disk system's throughput meter (drive-level crediting)."""
-        return self.disk.meter
-
-    @meter.setter
-    def meter(self, value) -> None:
-        self.disk.meter = value
-
-    def _transfer(self, kind: IoKind, runs: list[tuple[int, int]]):
-        """Issue all runs concurrently and wait for the slowest.
-
-        Throughput crediting happens at the drive level (each completed
-        disk request credits ``disk.meter`` over its service span), so a
-        whole-file read that spans many measurement intervals contributes
-        to each interval it actually occupied.
-        """
-        waitables = [
-            self.disk.transfer(kind, start, length) for start, length in runs
-        ]
-        if not waitables:
-            return None
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # The generator suspends below; the ambient span context is
-            # only valid within a single synchronous descent, so reset it
-            # before unrelated callbacks run (see repro.obs.tracer).
-            tracer.context = 0
-        yield AllOf(waitables)
-        return None

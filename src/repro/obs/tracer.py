@@ -22,9 +22,9 @@ so the context is only meaningful during a synchronous descent within a
 single engine callback: the workload driver sets it when an operation
 begins, the file system narrows it to its own span, and the disk layer
 reads it at ``submit`` time — all before the first ``yield``.  Code that
-suspends resets the context to 0 first (see
-``FileSystem._transfer``), so no span started in one callback is ever
-adopted as a parent from an unrelated one.
+suspends resets the context to 0 first (see ``FileSystem.read``), so no
+span started in one callback is ever adopted as a parent from an
+unrelated one.
 
 Span *ends* are recorded when the owning generator resumes or a
 completion callback fires — both happen at the exact simulated time the

@@ -244,6 +244,10 @@ class Simulator:
         #: sequence at the same speed as one predating the layer.
         self.tracer = None
         self.metrics = None
+        #: The :class:`~repro.sim.meters.ThroughputMeter` of the phase
+        #: being measured; every completed drive request credits it over
+        #: its service span.  ``None`` outside measured phases.
+        self.meter = None
         #: State-integrity attachment point (:mod:`repro.audit`).  Like
         #: the observability slots, ``None`` keeps the run loop
         #: untouched; an attached auditor is folded into :meth:`run`'s

@@ -70,13 +70,12 @@ def uninstall_ledger() -> None:
 class PreparedWeights:
     """Pre-validated cumulative weights for repeated weighted draws.
 
-    :meth:`RandomStream.weighted_choice` revalidates and re-accumulates
-    its weights on every call; hot loops that draw from the same
-    distribution millions of times (the workload driver's operation mix)
-    build one of these once instead.  The cumulative sums are built with
-    the exact left-to-right float additions ``weighted_choice`` performs,
-    so :meth:`RandomStream.weighted_choice_prepared` selects the same
-    item the unprepared call would for every possible draw.
+    Validation (equal lengths, no negative weight, a positive total) and
+    the running sums happen once, at construction; hot loops that draw
+    from the same distribution millions of times (the workload driver's
+    operation mix) then pay one uniform draw and one bisect per pick in
+    :meth:`RandomStream.weighted_choice_prepared`.  The cumulative sums
+    are left-to-right float additions of the weights, in order.
     """
 
     __slots__ = ("items", "cumulative", "total")
@@ -209,33 +208,13 @@ class RandomStream:
         self.draws += 1
         return self._random.randrange(n)
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Choice proportional to ``weights`` (used for operation ratios)."""
-        if len(items) != len(weights):
-            raise ConfigurationError("items and weights differ in length")
-        for weight in weights:
-            if weight < 0:
-                raise ConfigurationError(f"negative weight: {weight}")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ConfigurationError("weights must sum to a positive value")
-        self.draws += 1
-        pick = self._random.random() * total
-        cumulative = 0.0
-        for item, weight in zip(items, weights):
-            cumulative += weight
-            if pick < cumulative:
-                return item
-        return items[-1]
-
     def weighted_choice_prepared(self, prepared: PreparedWeights) -> T:
-        """Draw from a :class:`PreparedWeights`, one ``random()`` sample.
+        """Choice proportional to the prepared weights (operation ratios).
 
-        Selects exactly the item :meth:`weighted_choice` would pick from
-        the same items/weights at the same generator state: one uniform
-        draw scaled by the same total, located in the same cumulative
-        sums (bisect here, linear scan there — same first index with
-        ``pick < cumulative[i]``).
+        One ``random()`` sample scaled by the total picks the first item
+        whose cumulative weight exceeds it (the last item if rounding
+        lands the sample on the total), so the stream advances by exactly
+        one sample per pick.
         """
         self.draws += 1
         pick = self._random.random() * prepared.total

@@ -15,8 +15,12 @@ from repro import (
     parse_fault_spec,
 )
 from repro.audit.replay import performance_replay
+from repro.disk.array import StripedArray
+from repro.disk.geometry import TINY_DISK
+from repro.disk.request import DiskRequest, IoKind
 from repro.core.experiments import run_performance_experiment
 from repro.errors import InvariantViolation, ReproError
+from repro.units import KIB
 
 CAPS = dict(app_cap_ms=600.0, seq_cap_ms=600.0)
 
@@ -94,6 +98,16 @@ class TestCleanRuns:
         assert result.faults is not None
 
 
+    def test_zero_violations_on_elevator_queues(self):
+        config = small_config(
+            system=SystemConfig(scale=0.01, queue_discipline="elevator")
+        )
+        result = run_performance_experiment(
+            config, audit=AuditConfig(cadence_events=1_000), **CAPS
+        )
+        assert result.application.bytes_moved > 0
+
+
 class TestCorruptionDetection:
     """Seed a deliberate mid-run corruption; the next sweep must raise."""
 
@@ -142,6 +156,36 @@ class TestCorruptionDetection:
 
         violation = self.corrupt(truncate, "fs")
         assert violation.check == "extmap-consistency"
+
+
+class TestQueueOrder:
+    """Both disciplines keep their queue in submission order."""
+
+    def test_swapped_elevator_queue_raises(self):
+        sim = Simulator()
+        array = StripedArray(sim, TINY_DISK, 1, 24 * KIB, KIB, "elevator")
+        drive = array.drives[0]
+        auditor = InvariantAuditor(AuditConfig(cadence_events=10**9))
+        auditor.attach(sim)
+        auditor.observe(array=array)
+        # One request enters service at t=0; two more queue behind it,
+        # submitted at distinct times while the first is still in service.
+        for at_ms, start_byte in ((0.0, 0), (0.01, 8 * KIB), (0.02, 4 * KIB)):
+            sim.schedule(
+                at_ms,
+                lambda _sim, b=start_byte: drive.submit(
+                    DiskRequest(IoKind.READ, b, KIB)
+                ),
+            )
+        sim.run(until=0.03)
+        assert drive.busy and drive.queue_depth == 2
+        auditor.sweep(sim)  # as submitted: passes
+        queue = drive._queue
+        queue[0], queue[1] = queue[1], queue[0]
+        with pytest.raises(InvariantViolation) as info:
+            auditor.sweep(sim)
+        assert info.value.subsystem == "disk"
+        assert info.value.check == "queue-accounting"
 
 
 class TestClockCheck:

@@ -55,10 +55,29 @@ class TestMapping:
         array = make_striped(sim)
         stripe_units = array.stripe_unit_bytes // array.disk_unit_bytes
         # Two full rounds: each drive should get ONE merged run of 2 stripes.
-        runs = array._per_drive_runs(0, 8 * stripe_units)
-        for drive_runs in runs:
-            assert len(drive_runs) == 1
-            assert drive_runs[0][1] == 2 * array.stripe_unit_bytes
+        runs = array.split(0, 8 * stripe_units)
+        assert runs == [
+            (drive, 0, 2 * array.stripe_unit_bytes)
+            for drive in range(array.n_disks)
+        ]
+
+    def test_split_inside_one_stripe_unit(self):
+        sim = Simulator()
+        array = make_striped(sim)
+        # Units 30..33 sit 6K..10K into stripe 1 (drive 1, row 0).
+        assert array.split(30, 4) == [(1, 6 * KIB, 4 * KIB)]
+
+    def test_split_unaligned_span_is_drive_major(self):
+        sim = Simulator()
+        array = make_striped(sim)
+        # 20K into stripe 3 (drive 3, row 0), through stripes 4 and 5
+        # (drives 0 and 1, row 1), ending 2K into stripe 6 (drive 2).
+        assert array.split(92, 54) == [
+            (0, 24 * KIB, 24 * KIB),
+            (1, 24 * KIB, 24 * KIB),
+            (2, 24 * KIB, 2 * KIB),
+            (3, 20 * KIB, 4 * KIB),
+        ]
 
     def test_bad_stripe_unit_raises(self):
         sim = Simulator()

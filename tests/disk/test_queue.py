@@ -97,13 +97,9 @@ class TestDriveMetering:
     def test_owner_meter_credited_per_request(self):
         from repro.sim.meters import ThroughputMeter
 
-        class Owner:
-            meter = None
-
         sim = Simulator()
-        owner = Owner()
-        owner.meter = ThroughputMeter(1e9, interval_ms=1e6)
-        drive = QueuedDrive(sim, WREN_IV, owner=owner)
+        sim.meter = ThroughputMeter(1e9, interval_ms=1e6)
+        drive = QueuedDrive(sim, WREN_IV)
 
         def proc():
             yield drive.submit(read(0, 8192))
@@ -111,7 +107,7 @@ class TestDriveMetering:
 
         sim.process(proc())
         sim.run()
-        assert owner.meter.total_bytes == pytest.approx(16384)
+        assert sim.meter.total_bytes == pytest.approx(16384)
 
     def test_no_owner_no_crash(self):
         sim = Simulator()

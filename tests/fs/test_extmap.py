@@ -17,17 +17,18 @@ class TestLocate:
     def test_locate_within_extents(self):
         handle = make_handle([(100, 10), (500, 20)])
         emap = ExtentMap(handle)
-        assert emap.locate(0) == (0, 0)
-        assert emap.locate(9) == (0, 9)
-        assert emap.locate(10) == (1, 0)
-        assert emap.locate(29) == (1, 19)
+        # One-unit runs locate a logical unit: extent start + offset within.
+        assert emap.runs(0, 1) == [(100, 1)]
+        assert emap.runs(9, 1) == [(109, 1)]
+        assert emap.runs(10, 1) == [(500, 1)]
+        assert emap.runs(29, 1) == [(519, 1)]
 
     def test_locate_out_of_range_raises(self):
         emap = ExtentMap(make_handle([(0, 10)]))
         with pytest.raises(FileSystemError):
-            emap.locate(10)
+            emap.runs(10, 1)
         with pytest.raises(FileSystemError):
-            emap.locate(-1)
+            emap.runs(-1, 1)
 
     def test_total_units(self):
         assert ExtentMap(make_handle([(0, 3), (9, 7)])).total_units == 10
@@ -99,8 +100,6 @@ class TestRuns:
         emap = ExtentMap(make_handle([]))
         with pytest.raises(FileSystemError):
             emap.runs(0, 1)
-        with pytest.raises(FileSystemError):
-            emap.locate(0)
 
 
 class TestSync:
@@ -111,7 +110,7 @@ class TestSync:
         handle.extents.extend(added)
         emap.sync_append(added)
         assert emap.total_units == 15
-        assert emap.locate(12) == (1, 2)
+        assert emap.runs(12, 1) == [(52, 1)]
 
     def test_sync_append_mismatch_raises(self):
         handle = make_handle([(0, 10)])

@@ -169,7 +169,7 @@ class TestIo:
     def test_meter_records_transfers(self):
         sim, fs = make_fs()
         meter = ThroughputMeter(1000.0, interval_ms=10.0)
-        fs.meter = meter
+        sim.meter = meter
         f = fs.create()
         fs.allocate_to(f, 8 * KIB)
         run(sim, fs.read(f, 0, 8 * KIB))
@@ -200,56 +200,3 @@ class TestFragmentationView:
         f = fs.create()
         fs.allocate_to(f, 100 * KIB)
         assert fs.utilization > 0.0
-
-
-class TestWriteBehind:
-    def make_wb_fs(self):
-        sim = Simulator()
-        array = StripedArray(sim, TINY_DISK, 4, 24 * KIB, KIB)
-        allocator = ExtentAllocator(
-            array.capacity_units,
-            ExtentSizeConfig(range_means_units=(16,)),
-            FitPolicy.FIRST_FIT,
-            RandomStream(1),
-        )
-        return sim, FileSystem(sim, array, allocator, write_behind=True)
-
-    def test_write_returns_instantly(self):
-        sim, fs = self.make_wb_fs()
-        f = fs.create()
-        fs.allocate_to(f, 64 * KIB)
-        n = run(sim, fs.write(f, 0, 32 * KIB))
-        # The write "completed" for the caller without simulated delay...
-        assert n == 32 * KIB
-        # ...but the disks still have the work queued/running.
-        sim.run()
-        assert fs.disk.total_bytes_moved >= 32 * KIB
-
-    def test_reads_still_wait(self):
-        sim, fs = self.make_wb_fs()
-        f = fs.create()
-        fs.allocate_to(f, 16 * KIB)
-        run(sim, fs.read(f, 0, 8 * KIB))
-        assert sim.now > 0.0
-
-    def test_write_behind_overlaps_thinking(self):
-        """A burst of writes costs (almost) nothing in caller time but
-        serializes on the drives: classic write-behind overlap."""
-        sim, fs = self.make_wb_fs()
-        f = fs.create()
-        fs.allocate_to(f, 256 * KIB)
-
-        def burst():
-            for offset in range(0, 256 * KIB, 32 * KIB):
-                yield from fs.write(f, offset, 32 * KIB)
-            return sim.now
-
-        holder = {}
-
-        def wrapper():
-            holder["caller_done"] = yield from burst()
-
-        sim.process(wrapper())
-        sim.run()
-        assert holder["caller_done"] < 1.0  # caller never blocked
-        assert sim.now > 10.0  # the drives worked long after

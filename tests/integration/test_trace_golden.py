@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.configs import (
+    ORGANIZATIONS,
     ExperimentConfig,
     FixedPolicy,
     RestrictedPolicy,
@@ -104,14 +105,17 @@ class TestGoldenTrace:
 
 
 class TestTracingDoesNotPerturb:
+    @pytest.mark.parametrize("organization", ORGANIZATIONS)
     @pytest.mark.parametrize("immediate_queue", [True, False])
-    def test_results_identical_with_and_without_tracing(self, immediate_queue):
+    def test_results_identical_with_and_without_tracing(
+        self, immediate_queue, organization
+    ):
         def factory():
             return Simulator(immediate_queue=immediate_queue)
 
-        plain = run(config(), simulator_factory=factory)
+        plain = run(config(organization=organization), simulator_factory=factory)
         traced = run(
-            config(),
+            config(organization=organization),
             collect_trace=True,
             collect_metrics=True,
             simulator_factory=factory,

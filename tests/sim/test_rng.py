@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.sim.rng import RandomStream
+from repro.sim.rng import PreparedWeights, RandomStream
 
 
 class TestDeterminism:
@@ -86,37 +86,36 @@ class TestChoices:
 
     def test_weighted_choice_respects_zero_weight(self):
         rng = RandomStream(2)
-        picks = {
-            rng.weighted_choice(["a", "b", "c"], [1.0, 0.0, 1.0])
-            for _ in range(300)
-        }
+        prepared = PreparedWeights(["a", "b", "c"], [1.0, 0.0, 1.0])
+        picks = {rng.weighted_choice_prepared(prepared) for _ in range(300)}
+        assert rng.draws == 300  # one uniform sample per pick
         assert "b" not in picks
         assert picks == {"a", "c"}
 
     def test_weighted_choice_proportions(self):
         rng = RandomStream(5)
+        prepared = PreparedWeights(["a", "b"], [3.0, 1.0])
         counts = {"a": 0, "b": 0}
         for _ in range(10000):
-            counts[rng.weighted_choice(["a", "b"], [3.0, 1.0])] += 1
+            counts[rng.weighted_choice_prepared(prepared)] += 1
         ratio = counts["a"] / counts["b"]
         assert 2.5 < ratio < 3.6
 
     def test_weighted_choice_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
-            RandomStream(1).weighted_choice(["a"], [1.0, 2.0])
+            PreparedWeights(["a"], [1.0, 2.0])
 
     def test_weighted_choice_zero_total_raises(self):
         with pytest.raises(ConfigurationError):
-            RandomStream(1).weighted_choice(["a", "b"], [0.0, 0.0])
+            PreparedWeights(["a", "b"], [0.0, 0.0])
 
     def test_weighted_choice_negative_weight_always_raises(self):
-        # The negative weight sits last, where the sampling loop would
-        # almost never reach it (pick lands inside the earlier weights);
-        # validation must be up-front, not dependent on the draw.
-        rng = RandomStream(1)
-        for _ in range(100):
+        # Wherever the negative weight sits — last is where a pick would
+        # almost never land — validation is up-front, at construction,
+        # not dependent on any draw.
+        for weights in ([-1.0, 5.0, 5.0], [5.0, -1.0, 5.0], [5.0, 5.0, -1.0]):
             with pytest.raises(ConfigurationError):
-                rng.weighted_choice(["a", "b", "c"], [5.0, 5.0, -1.0])
+                PreparedWeights(["a", "b", "c"], weights)
 
     def test_shuffle_is_permutation(self):
         rng = RandomStream(6)
