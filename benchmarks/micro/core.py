@@ -17,7 +17,6 @@ from repro.core.configs import (
     BuddyPolicy,
     ExperimentConfig,
     ExtentPolicy,
-    FfsPolicy,
     FixedPolicy,
     LogStructuredPolicy,
     PolicyConfig,
@@ -289,7 +288,6 @@ def bench_experiment_point_sc(scale: float = 1.0, repeats: int = 3) -> dict[str,
 _CHURN_POLICIES: dict[str, PolicyConfig] = {
     "alloc_churn_buddy": BuddyPolicy(),
     "alloc_churn_extent": ExtentPolicy(),
-    "alloc_churn_ffs": FfsPolicy(),
     "alloc_churn_fixed": FixedPolicy(),
     "alloc_churn_log": LogStructuredPolicy(),
 }

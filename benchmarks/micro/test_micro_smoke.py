@@ -19,7 +19,6 @@ def test_registry_names():
         "alloc_churn",
         "alloc_churn_buddy",
         "alloc_churn_extent",
-        "alloc_churn_ffs",
         "alloc_churn_fixed",
         "alloc_churn_log",
         "experiment_point",

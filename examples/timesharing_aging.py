@@ -17,7 +17,6 @@ from repro import (
     BuddyPolicy,
     ExperimentConfig,
     ExtentPolicy,
-    FfsPolicy,
     FixedPolicy,
     RestrictedPolicy,
     SystemConfig,
@@ -44,7 +43,6 @@ def main() -> None:
         RestrictedPolicy(block_sizes=("1K", "8K", "64K"), grow_factor=2),
         ExtentPolicy(range_means=extent_ranges_for("TS", 3)),
         FixedPolicy("4K"),
-        FfsPolicy("8K"),
     ]
     results = {}
     for policy in policies:

@@ -35,7 +35,6 @@ from .alloc import (
     Extent,
     ExtentAllocator,
     ExtentSizeConfig,
-    FfsAllocator,
     FitPolicy,
     FixedBlockAllocator,
     FragmentationReport,
@@ -51,7 +50,6 @@ from .core import (
     ExperimentRunner,
     ExperimentTask,
     ExtentPolicy,
-    FfsPolicy,
     FixedPolicy,
     LogStructuredPolicy,
     PerformanceResult,
@@ -154,7 +152,6 @@ __all__ = [
     "RestrictedBuddyConfig",
     "ExtentAllocator",
     "ExtentSizeConfig",
-    "FfsAllocator",
     "FitPolicy",
     "FixedBlockAllocator",
     "LogStructuredAllocator",
@@ -180,7 +177,6 @@ __all__ = [
     "BuddyPolicy",
     "RestrictedPolicy",
     "ExtentPolicy",
-    "FfsPolicy",
     "FixedPolicy",
     "LogStructuredPolicy",
     "PerformanceResult",

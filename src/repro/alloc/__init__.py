@@ -17,7 +17,6 @@ from .extent import (
     ExtentSizeConfig,
     FitPolicy,
 )
-from .ffs import FfsAllocator
 from .fixed import FixedBlockAllocator
 from .logstructured import LogStructuredAllocator
 from .freestore import FreeBlockList, LadderFreeStore
@@ -42,7 +41,6 @@ __all__ = [
     "ExtentSizeConfig",
     "FitPolicy",
     "DEVIATION_FRACTION",
-    "FfsAllocator",
     "FixedBlockAllocator",
     "LogStructuredAllocator",
     "FreeBlockList",

@@ -10,6 +10,13 @@ Every allocator also owns one disk unit of metadata per file (the file
 descriptor), so the meta-data bandwidth story is consistent across
 policies; the restricted buddy policy additionally places descriptors
 region-consciously.
+
+A file's allocation is recorded once, on its :class:`AllocFile`: the
+extents in logical order plus their cumulative ends.  The base class's
+``extend``/``truncate``/``delete`` keep the two lists in step (every
+policy grows and shrinks files at the tail), so ``allocated_units`` is
+the last end and the file system's offset lookup
+(:class:`~repro.fs.extmap.ExtentMap`) bisects the handle's own index.
 """
 
 from __future__ import annotations
@@ -72,19 +79,23 @@ class AllocFile:
     """Per-file allocation state.
 
     The allocator creates these and keeps whatever policy-specific fields
-    it needs in ``policy_state``; the file system reads ``extents`` to map
-    logical offsets to disk addresses.
+    it needs in ``policy_state``; the file system reads ``extents`` and
+    ``ends`` to map logical offsets to disk addresses.
 
     Attributes:
         file_id: unique id assigned at creation.
         extents: allocation in logical order — extent ``i`` holds the bytes
             that logically follow extent ``i-1``.
+        ends: cumulative index over ``extents`` — ``ends[i]`` is the
+            logical unit one past extent ``i``.  Only the allocator
+            changes either list, always both together.
         descriptor: the one-unit metadata extent.
         policy_state: allocator-private bookkeeping.
     """
 
     file_id: int
     extents: list[Extent] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
     descriptor: Extent | None = None
     policy_state: dict = field(default_factory=dict)
     deleted: bool = False
@@ -92,7 +103,8 @@ class AllocFile:
     @property
     def allocated_units(self) -> int:
         """Data units currently allocated to the file."""
-        return sum(extent.length for extent in self.extents)
+        ends = self.ends
+        return ends[-1] if ends else 0
 
     @property
     def extent_count(self) -> int:
@@ -192,10 +204,12 @@ class Allocator(abc.ABC):
         except SimulationError as error:
             raise self._wrap_state_error("extend", error) from error
         handle.extents.extend(added)
-        added_units = 0
+        ends = handle.ends
+        before = total = ends[-1] if ends else 0
         for extent in added:
-            added_units += extent.length
-        self._allocated_units += added_units
+            total += extent.length
+            ends.append(total)
+        self._allocated_units += total - before
         return added
 
     def truncate(self, handle: AllocFile, n_units: int) -> int:
@@ -208,10 +222,12 @@ class Allocator(abc.ABC):
         self._check_live(handle)
         if n_units < 0:
             raise FileSystemError(f"truncate by negative size: {n_units}")
+        extents, ends = handle.extents, handle.ends
         freed = 0
         try:
-            while handle.extents and freed + handle.extents[-1].length <= n_units:
-                extent = handle.extents.pop()
+            while extents and freed + extents[-1].length <= n_units:
+                extent = extents.pop()
+                ends.pop()
                 self._release_extent(handle, extent)
                 freed += extent.length
         except AllocatorStateError:
@@ -229,6 +245,7 @@ class Allocator(abc.ABC):
                 self._release_extent(handle, extent)
                 self._allocated_units -= extent.length
             handle.extents.clear()
+            handle.ends.clear()
             if handle.descriptor is not None:
                 self._release_descriptor(handle, handle.descriptor)
                 self._allocated_units -= handle.descriptor.length

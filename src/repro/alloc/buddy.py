@@ -18,6 +18,7 @@ addresses).
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 
 from ..errors import ConfigurationError, DiskFullError
 from ..sim.rng import RandomStream
@@ -156,11 +157,9 @@ class BinaryBuddyAllocator(Allocator):
 
     def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
         added: list[Extent] = []
+        current_total = handle.allocated_units
         try:
             while n_units > 0:
-                current_total = handle.allocated_units + sum(
-                    extent.length for extent in added
-                )
                 if current_total == 0:
                     # First extent: the smallest power of two holding the
                     # request (Koch's initial allocation).
@@ -172,6 +171,7 @@ class BinaryBuddyAllocator(Allocator):
                 order = size.bit_length() - 1
                 start = self._allocate_block(order)
                 added.append(Extent(start, size))
+                current_total += size
                 n_units -= size
         except Exception:
             for extent in added:
@@ -209,8 +209,9 @@ class BinaryBuddyAllocator(Allocator):
         order a real reallocator uses (the data must be copied somewhere
         before its old blocks can be released).  A file whose reshaped
         form cannot be placed right now is skipped, not failed.  Returns
-        the number of files reshaped.  Callers owning extent maps (the
-        file system) must rebuild them afterwards.
+        the number of files reshaped.  Each reshaped handle's extents and
+        cumulative ends are replaced in place, so views over them (the
+        file system's extent maps) stay valid.
         """
         reshaped = 0
         for file_id in sorted(self.files):
@@ -239,6 +240,7 @@ class BinaryBuddyAllocator(Allocator):
             for extent in old_extents:
                 self._free_block(extent.start, extent.length.bit_length() - 1)
             handle.extents[:] = new_extents
+            handle.ends[:] = accumulate(sizes)
             self._allocated_units += handle.allocated_units - old_units
             reshaped += 1
         return reshaped

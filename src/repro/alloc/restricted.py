@@ -409,6 +409,7 @@ class RestrictedBuddyAllocator(Allocator):
                 release(extent.start, extent.length)
                 self._allocated_units -= extent.length
             handle.extents.clear()
+            handle.ends.clear()
             descriptor = handle.descriptor
             if descriptor is not None:
                 release(descriptor.start, descriptor.length)

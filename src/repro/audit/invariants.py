@@ -10,9 +10,9 @@ at freeze it sweeps a registry of per-subsystem checks:
 
 * **alloc** — conservation (free + allocated + unaddressable == total)
   and no-overlap, per policy (buddy orders, extent/LFS interval maps,
-  FFS fragments, the restricted ladder store, the fixed free list).
-* **fs** — every live file's extent map agrees with its allocator
-  handle; no dangling handles.
+  the restricted ladder store, the fixed free list).
+* **fs** — every live file's cumulative extent index agrees with its
+  extents and covers its logical length; no dangling handles.
 * **disk** — per-drive accounting (enqueued == served + queued +
   in-service) and submission-order preservation (FCFS and elevator).
 * **clock** — simulated time never moves backwards.
@@ -30,6 +30,7 @@ bisector compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable
 
 from ..errors import ConfigurationError, InvariantViolation, ReproError
@@ -267,14 +268,17 @@ class InvariantAuditor:
                     f"dangling (unknown to the allocator)",
                     excerpt=self._excerpt(),
                 )
-            mapped = fs_file.extmap.total_units
-            if mapped != handle.allocated_units:
+            # One end per extent, each the running sum of the lengths: so
+            # strictly increasing, the last one the units the file holds.
+            held = list(accumulate(extent.length for extent in handle.extents))
+            if handle.ends != held:
                 raise InvariantViolation(
                     sim.now, "fs", "extmap-consistency",
-                    f"file {fs_file.fs_id}: extent map covers {mapped} units "
-                    f"but the handle holds {handle.allocated_units}",
+                    f"file {fs_file.fs_id}: cumulative ends {handle.ends} "
+                    f"disagree with its extents' running lengths {held}",
                     excerpt=self._excerpt(),
                 )
+            mapped = held[-1] if held else 0
             needed = -(-fs_file.length_bytes // unit)
             if needed > mapped:
                 raise InvariantViolation(

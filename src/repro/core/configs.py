@@ -17,7 +17,6 @@ from ..alloc.base import Allocator
 from ..alloc.buddy import BinaryBuddyAllocator
 from ..alloc.extent import ExtentAllocator, ExtentSizeConfig, FitPolicy
 from ..alloc.fixed import FixedBlockAllocator
-from ..alloc.ffs import FfsAllocator
 from ..alloc.logstructured import LogStructuredAllocator
 from ..alloc.restricted import (
     RestrictedBuddyAllocator,
@@ -315,24 +314,6 @@ class FixedPolicy(PolicyConfig):
     @property
     def label(self) -> str:
         return f"fixed[{self.block_size}]"
-
-
-@dataclass(frozen=True)
-class FfsPolicy(PolicyConfig):
-    """Extension (paper §1): BSD FFS-style blocks + fragments."""
-
-    block_size: str | int = "8K"
-
-    def __post_init__(self) -> None:
-        _check(_is_size(self.block_size), "block_size", "a size", self.block_size)
-
-    def build(self, capacity_units, disk_unit_bytes, rng):
-        block_units = parse_size(self.block_size) // disk_unit_bytes
-        return FfsAllocator(capacity_units, block_units, rng=rng)
-
-    @property
-    def label(self) -> str:
-        return f"ffs[{self.block_size} blocks]"
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,25 @@
 """Logical-offset → disk-address mapping for one file.
 
 A file's allocation is an ordered list of extents; extent ``i`` holds the
-units that logically follow extent ``i-1``.  :class:`ExtentMap` mirrors the
-allocator's extent list with a cumulative-length index so that locating a
-logical offset is a bisect, and converts logical ranges into *linear runs*
-(merging physically adjacent extents) ready for the disk system.
-
-The map must be kept in sync by the file system: call :meth:`sync_append`
-after the allocator grows the file and :meth:`sync_truncate` after it
-shrinks (both are tail operations, matching every policy's behaviour).
+units that logically follow extent ``i-1``.  The allocator's handle
+(:class:`~repro.alloc.base.AllocFile`) records both the extents and their
+cumulative ends, and keeps them in step itself.  :class:`ExtentMap` is
+only the lookup over that record: locating a logical offset is a bisect
+of the handle's ``ends``, and logical ranges become *linear runs*
+(physically adjacent extents merged) ready for the disk system.  It
+holds no copy of the allocation, so there is nothing to keep in sync.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from ..alloc.base import AllocFile, Extent
+from ..alloc.base import AllocFile
 from ..errors import FileSystemError
 
 
 class ExtentMap:
-    """Cumulative index over an :class:`AllocFile`'s extents.
+    """Offset lookup over an :class:`AllocFile`'s extents and ends.
 
     Lookups remember the extent they last landed in (``_cursor``): the
     workloads overwhelmingly read and write sequentially or repeatedly
@@ -29,44 +28,11 @@ class ExtentMap:
     cursor is pure cache — it never changes what any query returns.
     """
 
-    __slots__ = ("_handle", "_cumulative", "_cursor")
+    __slots__ = ("_handle", "_cursor")
 
     def __init__(self, handle: AllocFile) -> None:
         self._handle = handle
-        self._cumulative: list[int] = []
         self._cursor = 0
-        total = 0
-        for extent in handle.extents:
-            total += extent.length
-            self._cumulative.append(total)
-
-    @property
-    def total_units(self) -> int:
-        """Units mapped (== the file's allocated data units)."""
-        return self._cumulative[-1] if self._cumulative else 0
-
-    # -- synchronization ------------------------------------------------------
-
-    def sync_append(self, added: list[Extent]) -> None:
-        """Record extents the allocator just appended."""
-        cumulative = self._cumulative
-        total = cumulative[-1] if cumulative else 0
-        append = cumulative.append
-        for extent in added:
-            total += extent.length
-            append(total)
-        if len(cumulative) != len(self._handle.extents):
-            raise FileSystemError("extent map out of sync after append")
-
-    def sync_truncate(self) -> None:
-        """Drop index entries for extents the allocator just removed."""
-        del self._cumulative[len(self._handle.extents):]
-        if len(self._cumulative) != len(self._handle.extents):
-            raise FileSystemError("extent map out of sync after truncate")
-        if self._cursor >= len(self._cumulative):
-            self._cursor = 0
-
-    # -- queries ------------------------------------------------------------
 
     def runs(self, unit_offset: int, n_units: int) -> list[tuple[int, int]]:
         """Linear disk runs covering a logical range, adjacency-merged.
@@ -77,19 +43,23 @@ class ExtentMap:
         """
         if n_units <= 0:
             raise FileSystemError(f"non-positive range: {n_units}")
-        cumulative = self._cumulative
+        handle = self._handle
+        cumulative = handle.ends
         total = cumulative[-1] if cumulative else 0
         if unit_offset < 0 or unit_offset + n_units > total:
             raise FileSystemError(
                 f"range [{unit_offset}, {unit_offset + n_units}) outside "
                 f"mapped {total} units"
             )
-        extents = self._handle.extents
+        extents = handle.extents
         # Locate the first unit: the cursor's extent, then its successor
         # (the sequential advance), before falling back to a full bisect.
         # The range check above already established
-        # ``0 <= unit_offset < total`` (n_units is positive).
+        # ``0 <= unit_offset < total`` (n_units is positive).  The file
+        # may have shrunk since the cursor was set, so bound it first.
         index = self._cursor
+        if index >= len(cumulative):
+            index = 0
         lower = cumulative[index - 1] if index else 0
         within = -1
         if lower <= unit_offset:

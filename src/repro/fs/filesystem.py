@@ -32,7 +32,7 @@ from .extmap import ExtentMap
 
 
 class FsFile:
-    """An open file: logical length plus the mapping machinery.
+    """An open file: logical length plus its offset lookup.
 
     Compares (and hashes) by identity, deliberately: an open file is a
     stateful resource, not a value.  The workload keeps thousands of
@@ -44,6 +44,9 @@ class FsFile:
 
     Attributes:
         fs_id: file-system-level id (distinct from the allocator's).
+        handle: the allocator's record of the file's extents.
+        extmap: offset lookup over ``handle``; built once at creation,
+            it reads the handle's lists directly and is never rebuilt.
         length_bytes: logical file length.
         cursor_bytes: per-file sequential position (used by burst-style
             workloads that read/write forward through the file).
@@ -147,28 +150,19 @@ class FileSystem:
         extend = self.allocator.extend
         handle = fs_file.handle
         while True:
-            # One total_units read per round; _sync_after_extend may
-            # replace the whole extent map (remap), so re-read the
-            # attribute rather than holding the map across the call.
-            total = fs_file.extmap.total_units
+            total = handle.allocated_units
             if total >= needed_units:
                 break
             missing = needed_units - total
             request = min(missing, step_units) if step_units else missing
             try:
-                added = extend(handle, request)
+                extend(handle, request)
             except DiskFullError:
-                covered = fs_file.extmap.total_units * self.unit_bytes
+                covered = total * self.unit_bytes
                 fs_file.length_bytes = max(
                     fs_file.length_bytes, min(length_bytes, covered)
                 )
                 raise
-            # _sync_after_extend, inlined for the populate/prefill storm
-            # of small chunked extends.
-            if handle.policy_state.pop("remapped", False):
-                fs_file.extmap = ExtentMap(handle)
-            else:
-                fs_file.extmap.sync_append(added)
         fs_file.length_bytes = max(fs_file.length_bytes, length_bytes)
 
     def delete(self, fs_file: FsFile) -> None:
@@ -195,10 +189,9 @@ class FileSystem:
         removed = min(n_bytes, fs_file.length_bytes)
         fs_file.length_bytes -= removed
         keep_units = ceil_div(fs_file.length_bytes, self.unit_bytes)
-        excess = fs_file.extmap.total_units - keep_units
+        excess = fs_file.handle.allocated_units - keep_units
         if excess > 0:
             self.allocator.truncate(fs_file.handle, excess)
-            fs_file.extmap.sync_truncate()
         fs_file.cursor_bytes = min(fs_file.cursor_bytes, fs_file.length_bytes)
         return removed
 
@@ -207,9 +200,10 @@ class FileSystem:
 
         Koch's DTSS system runs this "once every day"; the paper's
         measurements exclude it, so it is an extension here.  Policies
-        without a ``reallocate`` method return 0.  Extent maps are rebuilt
-        to match the reshaped allocations; no I/O is simulated (the
-        reallocator runs in the paper's off-peak hours).
+        without a ``reallocate`` method return 0.  The reallocator reshapes
+        each handle's record in place, so the files' extent maps read the
+        new extents with no rebuild; no I/O is simulated (the reallocator
+        runs in the paper's off-peak hours).
         """
         reallocate = getattr(self.allocator, "reallocate", None)
         if reallocate is None:
@@ -218,11 +212,7 @@ class FileSystem:
             fs_file.handle.file_id: ceil_div(fs_file.length_bytes, self.unit_bytes)
             for fs_file in self.files.values()
         }
-        reshaped = reallocate(used, max_extents=max_extents)
-        if reshaped:
-            for fs_file in self.files.values():
-                fs_file.extmap = ExtentMap(fs_file.handle)
-        return reshaped
+        return reallocate(used, max_extents=max_extents)
 
     # -- timed I/O (generators) ----------------------------------------------
 
@@ -364,9 +354,10 @@ class FileSystem:
     def _grow_to(self, fs_file: FsFile, new_length_bytes: int) -> None:
         needed_units = ceil_div(new_length_bytes, self.unit_bytes)
         tracer = self.sim.tracer
-        while fs_file.extmap.total_units < needed_units:
-            missing = needed_units - fs_file.extmap.total_units
-            added = self.allocator.extend(fs_file.handle, missing)
+        handle = fs_file.handle
+        while handle.allocated_units < needed_units:
+            missing = needed_units - handle.allocated_units
+            self.allocator.extend(handle, missing)
             if tracer is not None:
                 # Allocation is instantaneous in the model, so the span
                 # is zero-duration — it marks where in the request the
@@ -380,14 +371,4 @@ class FileSystem:
                     self.sim.now,
                     {"units": missing},
                 )
-            self._sync_after_extend(fs_file, added)
         fs_file.length_bytes = new_length_bytes
-
-    def _sync_after_extend(self, fs_file: FsFile, added) -> None:
-        """Update the extent map; rebuild it when the allocator remapped
-        existing extents (FFS fragment-tail promotion)."""
-        handle = fs_file.handle
-        if handle.policy_state.pop("remapped", False):
-            fs_file.extmap = ExtentMap(handle)
-        else:
-            fs_file.extmap.sync_append(added)

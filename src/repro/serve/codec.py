@@ -42,7 +42,6 @@ from ..core.configs import (
     BuddyPolicy,
     ExperimentConfig,
     ExtentPolicy,
-    FfsPolicy,
     FixedPolicy,
     LogStructuredPolicy,
     PolicyConfig,
@@ -62,7 +61,6 @@ POLICY_CODECS: dict[str, type[PolicyConfig]] = {
     "restricted": RestrictedPolicy,
     "extent": ExtentPolicy,
     "fixed": FixedPolicy,
-    "ffs": FfsPolicy,
     "lfs": LogStructuredPolicy,
 }
 

@@ -16,7 +16,7 @@ the decisions the originals made:
    ``snapshot_free_state`` fingerprint payloads must match after every
    operation.
 
-3. **All six policies** — every policy runs mixed create/extend/
+3. **All five policies** — every policy runs mixed create/extend/
    truncate/delete churn against an independent per-unit ownership
    model, with the policy's own ``audit_check`` (overlap + conservation)
    after every operation.
@@ -29,7 +29,6 @@ import pytest
 from repro import (
     BuddyPolicy,
     ExtentPolicy,
-    FfsPolicy,
     FixedPolicy,
     LogStructuredPolicy,
     RestrictedPolicy,
@@ -183,14 +182,13 @@ def test_restricted_allocator_matches_reference_store(clustered, seed):
 
 
 # ---------------------------------------------------------------------------
-# Layer 3: all six policies, per-unit ownership model + audit every step
+# Layer 3: all five policies, per-unit ownership model + audit every step
 # ---------------------------------------------------------------------------
 
 POLICIES = [
     BuddyPolicy(),
     RestrictedPolicy(block_sizes=("1K", "8K", "64K"), region_size="512K"),
     ExtentPolicy(range_means=("16K", "64K")),
-    FfsPolicy(),
     FixedPolicy(),
     LogStructuredPolicy(),
 ]
@@ -230,8 +228,8 @@ def test_policy_churn_against_unit_model(policy, seed):
                 model.pop(handle.file_id, None)
         except DiskFullError:
             pass
-        # Refresh the model from live handles (FFS may remap tails) and
-        # check pairwise disjointness + accounting against it.
+        # Rebuild the model from live handles and check pairwise
+        # disjointness + accounting against it.
         model = {h.file_id: _owned_units(h) for h in live if not h.deleted}
         claimed: set[int] = set()
         total = 0

@@ -151,7 +151,7 @@ class TestCorruptionDetection:
         def truncate(sim):
             for fs_file in sim.auditor.fs.live_files():
                 if fs_file.handle.allocated_units > 0:
-                    fs_file.extmap._cumulative.clear()
+                    fs_file.handle.ends.clear()
                     return
 
         violation = self.corrupt(truncate, "fs")

@@ -1,15 +1,19 @@
 """Unit tests for the logical-to-physical extent map."""
 
+from itertools import accumulate
+
 import pytest
 
 from repro.alloc.base import AllocFile, Extent
-from repro.errors import FileSystemError
+from repro.alloc.buddy import BinaryBuddyAllocator
+from repro.errors import DiskFullError, FileSystemError
 from repro.fs.extmap import ExtentMap
 
 
 def make_handle(extents):
     handle = AllocFile(file_id=1)
     handle.extents = [Extent(s, l) for s, l in extents]
+    handle.ends = list(accumulate(length for _, length in extents))
     return handle
 
 
@@ -31,8 +35,8 @@ class TestLocate:
             emap.runs(-1, 1)
 
     def test_total_units(self):
-        assert ExtentMap(make_handle([(0, 3), (9, 7)])).total_units == 10
-        assert ExtentMap(make_handle([])).total_units == 0
+        assert make_handle([(0, 3), (9, 7)]).allocated_units == 10
+        assert make_handle([]).allocated_units == 0
 
 
 class TestRuns:
@@ -102,25 +106,62 @@ class TestRuns:
             emap.runs(0, 1)
 
 
-class TestSync:
-    def test_sync_append(self):
-        handle = make_handle([(0, 10)])
-        emap = ExtentMap(handle)
-        added = [Extent(50, 5)]
-        handle.extents.extend(added)
-        emap.sync_append(added)
-        assert emap.total_units == 15
-        assert emap.runs(12, 1) == [(52, 1)]
+class TestIndexMaintenance:
+    """The allocator keeps each handle's cumulative ends in step with its
+    extents, so a map built once stays right through growth and shrink."""
 
-    def test_sync_append_mismatch_raises(self):
-        handle = make_handle([(0, 10)])
+    def test_extend_appends_ends(self):
+        allocator = BinaryBuddyAllocator(1024)
+        handle = allocator.create()
         emap = ExtentMap(handle)
+        allocator.extend(handle, 3)  # one 4-unit block
+        allocator.extend(handle, 1)  # doubling: another 4
+        assert [e.length for e in handle.extents] == [4, 4]
+        assert handle.ends == [4, 8]
+        assert handle.allocated_units == 8
+        second = handle.extents[1]
+        assert emap.runs(6, 1) == [(second.start + 2, 1)]
+
+    def test_failed_extend_leaves_the_index_alone(self):
+        allocator = BinaryBuddyAllocator(16)
+        handle = allocator.create()
+        allocator.extend(handle, 4)
+        with pytest.raises(DiskFullError):
+            allocator.extend(handle, 64)
+        assert handle.ends == [4]
+
+    def test_truncate_drops_ends(self):
+        allocator = BinaryBuddyAllocator(1024)
+        handle = allocator.create()
+        emap = ExtentMap(handle)
+        for units in (4, 4, 8, 16):
+            allocator.extend(handle, units)
+        assert handle.ends == [4, 8, 16, 32]
+        assert emap.runs(31, 1)  # the cursor now sits on the last extent
+        assert allocator.truncate(handle, 24) == 24
+        assert handle.ends == [4, 8]
+        first = handle.extents[0]
+        assert emap.runs(0, 1) == [(first.start, 1)]
         with pytest.raises(FileSystemError):
-            emap.sync_append([Extent(50, 5)])  # handle not actually grown
+            emap.runs(8, 1)
 
-    def test_sync_truncate(self):
-        handle = make_handle([(0, 10), (50, 5)])
+    def test_delete_clears_ends(self):
+        allocator = BinaryBuddyAllocator(1024)
+        handle = allocator.create()
+        allocator.extend(handle, 8)
+        allocator.delete(handle)
+        assert handle.extents == [] and handle.ends == []
+
+    def test_reallocate_rewrites_ends_in_place(self):
+        allocator = BinaryBuddyAllocator(1024)
+        handle = allocator.create()
         emap = ExtentMap(handle)
-        handle.extents.pop()
-        emap.sync_truncate()
-        assert emap.total_units == 10
+        for units in (1, 1, 2, 4):
+            allocator.extend(handle, units)
+        ends = handle.ends
+        assert allocator.reallocate({handle.file_id: 7}, max_extents=3) == 1
+        assert handle.ends is ends
+        assert [e.length for e in handle.extents] == [4, 2, 1]
+        assert ends == [4, 6, 7]
+        for extent, offset in zip(handle.extents, (0, 4, 6)):
+            assert emap.runs(offset, 1) == [(extent.start, 1)]

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.alloc.buddy import BinaryBuddyAllocator
 from repro.alloc.extent import ExtentAllocator, ExtentSizeConfig, FitPolicy
 from repro.alloc.fixed import FixedBlockAllocator
+from repro.audit.invariants import InvariantAuditor
 from repro.disk.array import StripedArray
 from repro.disk.geometry import TINY_DISK
 from repro.errors import DiskFullError, FileSystemError
@@ -200,3 +202,67 @@ class TestFragmentationView:
         f = fs.create()
         fs.allocate_to(f, 100 * KIB)
         assert fs.utilization > 0.0
+
+
+def _leading_runs(extents, n_units):
+    """The first ``n_units`` of a file's extents as adjacency-merged runs."""
+    runs: list[tuple[int, int]] = []
+    for extent in extents:
+        if n_units <= 0:
+            break
+        take = min(extent.length, n_units)
+        if runs and runs[-1][0] + runs[-1][1] == extent.start:
+            runs[-1] = (runs[-1][0], runs[-1][1] + take)
+        else:
+            runs.append((extent.start, take))
+        n_units -= take
+    return runs
+
+
+class TestReorganize:
+    def test_reads_after_reorganize_use_the_new_extents_only(self):
+        sim, fs = make_fs(allocator_factory=BinaryBuddyAllocator)
+        files = []
+        for length_kib in (40, 100, 7, 300):
+            f = fs.create()
+            # 4K requests make buddy double in many small extents.
+            fs.allocate_to(f, length_kib * KIB, step_bytes=4 * KIB)
+            files.append(f)
+        fs.truncate(files[3], 120 * KIB)
+        old = {f.fs_id: list(f.handle.extents) for f in files}
+
+        assert fs.reorganize(max_extents=3) >= 2
+        reshaped = [f for f in files if f.handle.extents != old[f.fs_id]]
+        assert len(reshaped) >= 2
+
+        issued = []
+        transfer = fs.disk.transfer
+
+        def record(kind, start, n_units):
+            issued.append((start, n_units))
+            return transfer(kind, start, n_units)
+
+        fs.disk.transfer = record
+        for f in files:
+            issued.clear()
+            assert run(sim, fs.read_whole(f)) == f.length_bytes
+            needed = -(-f.length_bytes // KIB)
+            assert issued == _leading_runs(f.handle.extents, needed)
+            if f in reshaped:
+                stale = {
+                    unit for e in old[f.fs_id] for unit in range(e.start, e.end)
+                } - {
+                    unit for e in f.handle.extents
+                    for unit in range(e.start, e.end)
+                }
+                assert stale
+                assert not any(
+                    start <= unit < start + n
+                    for start, n in issued for unit in stale
+                )
+        auditor = InvariantAuditor()
+        auditor.observe(fs=fs, allocator=fs.allocator)
+        assert ("fs", "extmap-consistency") in [
+            (subsystem, name) for subsystem, name, _ in auditor.checks
+        ]
+        auditor.sweep(sim, fingerprint=False)

@@ -121,7 +121,7 @@ EXTENT = {"name": "extent", "range_means": ["512K", "1M", "16M"], "fit": "first"
 #: spelling; ``submit`` still rejects it before anything is posted.
 PARITY = [
     (["--policy", "zfs"], {"policy": {"name": "zfs"}},
-     "policy.name: expected one of buddy, extent, ffs, fixed, lfs, "
+     "policy.name: expected one of buddy, extent, fixed, lfs, "
      "restricted, got 'zfs'"),
     (["--workload", "XX"], {"workload": "XX"},
      "workload: expected TS, TP, or SC, got 'XX'"),

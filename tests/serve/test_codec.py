@@ -12,7 +12,6 @@ from repro.core.configs import (
     BuddyPolicy,
     ExperimentConfig,
     ExtentPolicy,
-    FfsPolicy,
     FixedPolicy,
     LogStructuredPolicy,
     RestrictedPolicy,
@@ -38,7 +37,7 @@ class TestRoundTrip:
             RestrictedPolicy(grow_factor=2, clustered=False),
             ExtentPolicy(range_means=(4096, 65536), fit="best"),
             FixedPolicy(block_size="16K", aged=True),
-            FfsPolicy(block_size="8K"),
+            FixedPolicy(block_size="4K", aged=False),
             LogStructuredPolicy(),
         ],
     )
@@ -132,6 +131,15 @@ class TestValidation:
         explicit = {"name": "extent", "fit": "best", "range_means": ["4K"]}
         task = spec_to_task({"workload": "TS", "policy": explicit})
         assert task.config.policy == ExtentPolicy(range_means=("4K",), fit="best")
+
+    def test_retired_ffs_policy_is_rejected_by_name(self):
+        spec = {"workload": "TS", "policy": {"name": "ffs", "block_size": "8K"}}
+        with pytest.raises(ConfigurationError) as excinfo:
+            spec_to_task(spec)
+        assert str(excinfo.value) == (
+            "policy.name: expected one of buddy, extent, fixed, lfs, "
+            "restricted, got 'ffs'"
+        )
 
     @pytest.mark.parametrize(
         "mutation, fragment",
@@ -239,7 +247,6 @@ FUZZ_BASES = [
         "kwargs": {"fill_fraction": 0.5, "max_operations": 100},
     },
     {"workload": "SC", "policy": {"name": "fixed", "block_size": "16K", "aged": True}},
-    {"workload": "SC", "policy": {"name": "ffs", "block_size": "8K"}},
 ]
 
 FUZZ_PATHS = sorted(

@@ -332,13 +332,22 @@ class TestRecovery:
             revived.stop()
 
 
-    def test_undecodable_ledger_spec_is_failed_not_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"workload": "XX"},
+            # A job journaled by a build that still had the FFS policy.
+            {"workload": "TS", "policy": {"name": "ffs", "block_size": "8K"}},
+        ],
+        ids=["unknown-workload", "retired-ffs-policy"],
+    )
+    def test_undecodable_ledger_spec_is_failed_not_run(self, tmp_path, spec):
         # Recovery rebuilds each orphaned task from its journaled spec; a
         # spec that no longer decodes fails the same way every restart,
         # so it is journaled as a deterministic failure.
         ledger = RunLedger(tmp_path / "state")
         ledger.open()
-        ledger.accept("stale-key", {"workload": "XX"})
+        ledger.accept("stale-key", spec)
         ledger.close()
         service = make_service(tmp_path)
         service.start()

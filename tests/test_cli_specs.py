@@ -56,12 +56,6 @@ GOLDEN_KEYS = [
      ["4aa18a165cd3fe64c39d6520bc3014b77c0db5dd31fccbabc70aa4f9cd24a6ab"]),
     ("perf --policy lfs --workload SC",
      ["20910ef1b433382663b68384020fd7ebf5b32268c4aaff667741d321f9489bc9"]),
-    ("perf --policy ffs --workload TS",
-     ["090f324442ba88d7e841df997f00a010f316d3262a8c50da84201994531d7f6c"]),
-    ("perf --policy ffs --workload TP",
-     ["711c1981a4e21f613312d5680ffbee47d6a28bf98a4cb710557110db4884e061"]),
-    ("perf --policy ffs --workload SC",
-     ["6b9710b3933db382b2ff203a1ea828b95b2f346754a6ec3a0be8b1fcf179ea7e"]),
     ("perf --audit",
      ["7aa1755e9d6421577b72ed9e65d648e6c65fd9fba30c2988307f9a85469aceaf"]),
     ("perf --organization raid5 --inject fail:drive=0,at=15000,repair=40000",

@@ -7,7 +7,7 @@ Produces a JSON record with three sections:
   variants x workloads): the full fingerprint timeline digests.
 * ``fig6`` — audited figure-6 comparison points (all four compared
   policies x workloads): fingerprint timeline digests.
-* ``fuzz54`` — the 54-config allocation-to-failure fuzz grid: the
+* ``fuzz`` — the 45-config allocation-to-failure fuzz grid: the
   fragmentation report fields, operation count, and file count of every
   run (pure functions of every allocation decision made).
 
@@ -96,13 +96,12 @@ def capture_fig6(scale: float, cap_ms: float) -> dict:
     return out
 
 
-def capture_fuzz54(scale: float) -> dict:
+def capture_fuzz(scale: float) -> dict:
     from repro import (
         AuditConfig,
         BuddyPolicy,
         ExperimentConfig,
         ExtentPolicy,
-        FfsPolicy,
         FixedPolicy,
         LogStructuredPolicy,
         RestrictedPolicy,
@@ -112,7 +111,7 @@ def capture_fuzz54(scale: float) -> dict:
 
     policies = [
         BuddyPolicy(), RestrictedPolicy(), ExtentPolicy(),
-        FfsPolicy(), FixedPolicy(), LogStructuredPolicy(),
+        FixedPolicy(), LogStructuredPolicy(),
     ]
     out: dict[str, dict] = {}
     for policy in policies:
@@ -147,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fuzz-scale", type=float, default=0.005)
     parser.add_argument("--cap-ms", type=float, default=2_000.0)
     parser.add_argument("--skip", nargs="*", default=(),
-                        choices=("fig2", "fig6", "fuzz54"))
+                        choices=("fig2", "fig6", "fuzz"))
     args = parser.parse_args(argv)
 
     record: dict = {"scale": args.scale, "fuzz_scale": args.fuzz_scale}
@@ -155,8 +154,8 @@ def main(argv: list[str] | None = None) -> int:
         record["fig2"] = capture_fig2(args.scale, args.cap_ms)
     if "fig6" not in args.skip:
         record["fig6"] = capture_fig6(args.scale, args.cap_ms)
-    if "fuzz54" not in args.skip:
-        record["fuzz54"] = capture_fuzz54(args.fuzz_scale)
+    if "fuzz" not in args.skip:
+        record["fuzz"] = capture_fuzz(args.fuzz_scale)
     path = pathlib.Path(args.out)
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
