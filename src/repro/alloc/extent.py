@@ -104,15 +104,29 @@ class ExtentAllocator(Allocator):
 
     # -- placement ------------------------------------------------------------
 
-    def _take(self, n_units: int) -> int:
-        """Carve ``n_units`` from the free map per the fit policy."""
+    def _take(self, n_units: int, count: int) -> list[int]:
+        """Carve ``count`` runs of ``n_units`` per the fit policy.
+
+        First fit takes them all in one scan of the free map.  Best fit
+        takes them one at a time, each from the smallest hole left, and
+        hands back what it carved when one does not fit.  Either way a
+        failure leaves the free map as it was.
+        """
+        free = self._free
         if self.fit is FitPolicy.FIRST_FIT:
-            start = self._free.take_first_fit(n_units)
-        else:
-            start = self._free.take_best_fit(n_units)
-        if start is None:
-            raise self._fail(n_units)
-        return start
+            starts = free.take_first_fit(n_units, count)
+            if starts is None:
+                raise self._fail(n_units)
+            return starts
+        starts = []
+        for _ in range(count):
+            start = free.take_best_fit(n_units)
+            if start is None:
+                for taken in starts:
+                    free.release(taken, n_units)
+                raise self._fail(n_units)
+            starts.append(start)
+        return starts
 
     def _file_extent_units(self, handle: AllocFile, size_hint_units: int) -> int:
         """Draw the file's extent size (once, at creation)."""
@@ -128,24 +142,16 @@ class ExtentAllocator(Allocator):
         handle.policy_state["extent_units"] = self._file_extent_units(
             handle, size_hint_units
         )
-        start = self._take(1)
+        start = self._take(1, 1)[0]
         return Extent(start, 1)
 
     def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
         extent_units = handle.policy_state["extent_units"]
-        added: list[Extent] = []
-        allocated = 0
-        try:
-            while allocated < n_units:
-                start = self._take(extent_units)
-                added.append(Extent(start, extent_units))
-                allocated += extent_units
-        except Exception:
-            # No partial growth on failure: hand back what we carved.
-            for extent in added:
-                self._free.release(extent.start, extent.length)
-            raise
-        return added
+        count = -(-n_units // extent_units)
+        return [
+            Extent(start, extent_units)
+            for start in self._take(extent_units, count)
+        ]
 
     def _release_extent(self, handle: AllocFile, extent: Extent) -> None:
         self._free.release(extent.start, extent.length)

@@ -75,13 +75,15 @@ class FixedBlockAllocator(Allocator):
         return Extent(start, self.block_units)
 
     def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
-        n_blocks = -(-n_units // self.block_units)
-        if len(self._free_blocks) < n_blocks:
+        block_units = self.block_units
+        n_blocks = -(-n_units // block_units)
+        free = self._free_blocks
+        if len(free) < n_blocks:
             raise self._fail(n_units)
-        added = []
-        for _ in range(n_blocks):
-            start = self._take_block(n_units)
-            added.append(Extent(start, self.block_units))
+        # The list's tail is its head: the last n_blocks entries, read
+        # backwards, are what n_blocks pops would return, in that order.
+        added = [Extent(start, block_units) for start in reversed(free[-n_blocks:])]
+        del free[-n_blocks:]
         return added
 
     def _release_extent(self, handle: AllocFile, extent: Extent) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AllocatorStateError, ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..sim.rng import RandomStream
 from ..units import KIB, MIB, parse_size
 from .base import AllocFile, Allocator, Extent
@@ -392,35 +392,6 @@ class RestrictedBuddyAllocator(Allocator):
         if freed:
             self._retier_after_truncate(handle)
         return freed
-
-    def delete(self, handle: AllocFile) -> None:
-        """Free all data extents and the descriptor; retire the file.
-
-        Same contract and same per-extent ordering as the base
-        implementation, with the release-hook indirection inlined to the
-        store — one call per extent instead of two on the churn-heavy
-        path (this policy's release hooks add nothing over the store
-        call, so the shortcut cannot change behaviour).
-        """
-        self._check_live(handle)
-        release = self.store.release
-        try:
-            for extent in reversed(handle.extents):
-                release(extent.start, extent.length)
-                self._allocated_units -= extent.length
-            handle.extents.clear()
-            handle.ends.clear()
-            descriptor = handle.descriptor
-            if descriptor is not None:
-                release(descriptor.start, descriptor.length)
-                self._allocated_units -= descriptor.length
-                handle.descriptor = None
-        except AllocatorStateError:
-            raise
-        except SimulationError as error:
-            raise self._wrap_state_error("delete", error) from error
-        handle.deleted = True
-        del self.files[handle.file_id]
 
     # -- introspection ----------------------------------------------------------
 

@@ -68,21 +68,56 @@ class FreeExtentMap:
 
     # -- allocation ----------------------------------------------------------
 
-    def take_first_fit(self, length: int) -> int | None:
-        """Allocate from the lowest-addressed interval that fits.
+    def take_first_fit(self, length: int, count: int) -> list[int] | None:
+        """Allocate ``count`` runs of ``length`` units, each from the
+        lowest-addressed interval that fits it.
 
-        Returns the start address or None when no interval is big enough.
-        The tendency of first-fit "to allocate blocks toward the beginning
-        of the disk system" that the paper credits for its slight clustering
+        Returns the starts in allocation order, or None, with the map
+        unchanged, when some run finds no interval big enough.  The
+        tendency of first-fit "to allocate blocks toward the beginning of
+        the disk system" that the paper credits for its slight clustering
         falls straight out of this address-ordered scan.
+
+        One address scan serves all ``count`` runs and gives the same
+        answers as ``count`` single takes: a take carves the front of the
+        first adequate interval, so every interval below it is still too
+        small for the next run, and the remainder is the next candidate.
+        The first adequate interval therefore gives ``min(count, len //
+        length)`` runs in one carve, and the scan goes on past what is
+        left of it.  A shortage releases the runs taken; the map is
+        always coalesced, so that restores the exact earlier state.
         """
         if length <= 0:
             raise SimulationError(f"allocation length must be positive: {length}")
-        for start in self._starts:
-            if self._lengths[start] >= length:
-                self._carve(start, start, length)
-                return start
-        return None
+        if count <= 0:
+            raise SimulationError(f"allocation count must be positive: {count}")
+        lengths = self._lengths
+        taken: list[int] = []
+        remaining = count
+        members = iter(self._starts)
+        while True:
+            for start in members:
+                if lengths[start] >= length:
+                    break
+            else:
+                for start in taken:
+                    self.release(start, length)
+                return None
+            runs = lengths[start] // length
+            if runs > remaining:
+                runs = remaining
+            units = runs * length
+            self._carve(start, start, units)
+            if runs == 1:
+                taken.append(start)
+            else:
+                taken.extend(range(start, start + units, length))
+            remaining -= runs
+            if not remaining:
+                return taken
+            # Resume past what is left of this interval (too small for
+            # another run) or, if nothing is, past where it ended.
+            members = self._starts.iter_above(start + units)
 
     def take_best_fit(self, length: int) -> int | None:
         """Allocate from the smallest adequate interval (lowest address ties)."""
@@ -195,15 +230,32 @@ class FreeExtentMap:
     # -- internals ----------------------------------------------------------
 
     def _carve(self, interval_start: int, take_start: int, take_length: int) -> None:
-        """Remove ``[take_start, take_start+take_length)`` from one interval."""
-        interval_length = self._lengths[interval_start]
-        self._remove_interval(interval_start)
-        left = take_start - interval_start
-        right = (interval_start + interval_length) - (take_start + take_length)
-        if left > 0:
-            self._add_interval(interval_start, left)
-        if right > 0:
-            self._add_interval(take_start + take_length, right)
+        """Remove ``[take_start, take_start+take_length)`` from one interval.
+
+        The pieces left over keep the interval's address rank, so the
+        address list is written in place, never shifted: a back piece
+        keeps the interval's start, and a front carve (every first-fit
+        and best-fit take) moves the start up past the taken run.  Only
+        the size index has to move its pair, and only when the shrunk
+        length changes its rank.
+        """
+        interval_length = self._lengths.pop(interval_start)
+        take_end = take_start + take_length
+        right = interval_start + interval_length - take_end
+        old = (interval_length, interval_start)
+        if take_start > interval_start:
+            left = take_start - interval_start
+            self._lengths[interval_start] = left
+            self._by_size.move(old, (left, interval_start))
+            if right > 0:
+                self._add_interval(take_end, right)
+        elif right > 0:
+            self._starts.replace(interval_start, take_end)
+            self._lengths[take_end] = right
+            self._by_size.move(old, (right, take_end))
+        else:
+            self._starts.remove(interval_start)
+            self._by_size.remove(interval_length, interval_start)
         self._free_total -= take_length
 
     def _add_interval(self, start: int, length: int) -> None:

@@ -16,15 +16,15 @@ class TestAllocation:
 
     def test_first_fit_takes_lowest(self):
         fmap = FreeExtentMap(100)
-        assert fmap.take_first_fit(10) == 0
-        assert fmap.take_first_fit(10) == 10
+        assert fmap.take_first_fit(10, 1) == [0]
+        assert fmap.take_first_fit(10, 1) == [10]
 
     def test_first_fit_skips_small_holes(self):
         fmap = FreeExtentMap(100)
         fmap.take_at(0, 100)
         fmap.release(0, 5)       # small hole at 0
         fmap.release(20, 50)     # big hole at 20
-        assert fmap.take_first_fit(10) == 20
+        assert fmap.take_first_fit(10, 1) == [20]
 
     def test_best_fit_takes_smallest_adequate(self):
         fmap = FreeExtentMap(100)
@@ -43,7 +43,7 @@ class TestAllocation:
 
     def test_allocation_failure_returns_none(self):
         fmap = FreeExtentMap(10)
-        assert fmap.take_first_fit(11) is None
+        assert fmap.take_first_fit(11, 1) is None
         assert fmap.take_best_fit(11) is None
 
     def test_take_at_exact(self):
@@ -62,7 +62,9 @@ class TestAllocation:
     def test_non_positive_requests_raise(self):
         fmap = FreeExtentMap(10)
         with pytest.raises(SimulationError):
-            fmap.take_first_fit(0)
+            fmap.take_first_fit(0, 1)
+        with pytest.raises(SimulationError):
+            fmap.take_first_fit(1, 0)
         with pytest.raises(SimulationError):
             fmap.take_best_fit(-1)
 
@@ -79,7 +81,8 @@ class TestRelease:
 
     def test_release_everything_restores_full(self):
         fmap = FreeExtentMap(100)
-        starts = [fmap.take_first_fit(10) for _ in range(10)]
+        starts = fmap.take_first_fit(10, 10)
+        assert starts == list(range(0, 100, 10))
         for start in reversed(starts):
             fmap.release(start, 10)
         assert list(fmap.intervals()) == [(0, 100)]
@@ -136,8 +139,11 @@ def test_property_invariants_hold_through_any_script(script):
             start, length = live.pop(len(live) // 2)
             fmap.release(start, length)
         elif action in ("first", "best"):
-            taker = fmap.take_first_fit if action == "first" else fmap.take_best_fit
-            start = taker(size)
+            if action == "first":
+                found = fmap.take_first_fit(size, 1)
+                start = found[0] if found else None
+            else:
+                start = fmap.take_best_fit(size)
             if start is not None:
                 live.append((start, size))
         fmap.check_invariants()
@@ -195,3 +201,138 @@ class TestTakeUpToFrom:
                 break
             position = piece[0] + piece[1]
             fmap.check_invariants()
+
+
+# -- batched first fit and in-place carves -----------------------------------
+
+CAPACITY = 400
+
+
+@st.composite
+def free_layouts(draw):
+    """Cut points over ``[0, CAPACITY)`` plus which segments start free."""
+    cuts = sorted(set(draw(st.lists(
+        st.integers(min_value=1, max_value=CAPACITY - 1), max_size=30
+    ))))
+    bounds = [0, *cuts, CAPACITY]
+    free = draw(st.lists(
+        st.booleans(), min_size=len(bounds) - 1, max_size=len(bounds) - 1
+    ))
+    return [
+        (low, high - low)
+        for low, high, is_free in zip(bounds, bounds[1:], free) if is_free
+    ]
+
+
+def build(layout) -> FreeExtentMap:
+    fmap = FreeExtentMap(CAPACITY)
+    fmap.take_at(0, CAPACITY)
+    for start, length in layout:
+        fmap.release(start, length)
+    return fmap
+
+
+def size_index(fmap: FreeExtentMap) -> list[tuple[int, int]]:
+    return list(fmap._by_size)
+
+
+@given(
+    layout=free_layouts(),
+    length=st.integers(min_value=1, max_value=40),
+    count=st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_first_fit_matches_single_takes(layout, length, count):
+    batched, single = build(layout), build(layout)
+    starts = batched.take_first_fit(length, count)
+    expected = []
+    for _ in range(count):
+        # Independent oracle: the lowest-addressed interval that fits.
+        fits = [start for start, size in single.intervals() if size >= length]
+        taken = single.take_first_fit(length, 1)
+        single.check_invariants()
+        if not fits:
+            assert taken is None
+            expected = None
+            break
+        assert taken == [fits[0]]
+        expected.extend(taken)
+    batched.check_invariants()
+    if expected is None:
+        # A shortage hands everything back: the map is as it was.
+        assert starts is None
+        untouched = build(layout)
+        assert list(batched.intervals()) == list(untouched.intervals())
+        assert size_index(batched) == size_index(untouched)
+        assert batched.free_units == untouched.free_units
+    else:
+        assert starts == expected
+        assert list(batched.intervals()) == list(single.intervals())
+        assert size_index(batched) == size_index(single)
+        assert batched.free_units == single.free_units
+
+
+def test_batched_first_fit_spans_intervals():
+    fmap = build([(0, 25), (40, 7), (60, 100)])
+    # 0..20 from the first hole (5 left over, too small), nothing from
+    # the 7-unit hole, the rest from the front of the third.
+    assert fmap.take_first_fit(10, 4) == [0, 10, 60, 70]
+    assert list(fmap.intervals()) == [(20, 5), (40, 7), (80, 80)]
+    fmap.check_invariants()
+
+
+def test_batched_first_fit_consumes_exact_holes():
+    fmap = build([(0, 20), (30, 10), (50, 10)])
+    assert fmap.take_first_fit(10, 4) == [0, 10, 30, 50]
+    assert list(fmap.intervals()) == []
+    fmap.check_invariants()
+
+
+def test_batched_first_fit_shortage_restores_map():
+    fmap = build([(0, 25), (40, 7), (60, 30)])
+    before = list(fmap.intervals())
+    assert fmap.take_first_fit(10, 6) is None
+    assert list(fmap.intervals()) == before
+    fmap.check_invariants()
+
+
+@given(script=st.lists(
+    st.tuples(
+        st.sampled_from(["first", "best", "head", "from", "at", "free"]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=CAPACITY - 1),
+    ),
+    max_size=60,
+))
+@settings(max_examples=200, deadline=None)
+def test_invariants_hold_after_every_carve(script):
+    """Front carves (first fit, best fit, a log head at an interval's
+    start) and middle/back carves keep all three indexes in step."""
+    fmap = FreeExtentMap(CAPACITY)
+    live: list[tuple[int, int]] = []
+    for action, size, position in script:
+        if action == "first":
+            starts = fmap.take_first_fit(size, 1 + position % 4)
+            live.extend((start, size) for start in starts or ())
+        elif action == "best":
+            start = fmap.take_best_fit(size)
+            if start is not None:
+                live.append((start, size))
+        elif action == "head":
+            holes = list(fmap.intervals())
+            if holes:
+                hole_start = holes[position % len(holes)][0]
+                start, taken = fmap.take_up_to_from(hole_start, size)
+                assert start == hole_start
+                live.append((start, taken))
+        elif action == "from":
+            piece = fmap.take_up_to_from(position, size)
+            if piece is not None:
+                live.append(piece)
+        elif action == "at":
+            if fmap.take_at(position, min(size, CAPACITY - position)):
+                live.append((position, min(size, CAPACITY - position)))
+        elif live:
+            fmap.release(*live.pop(position % len(live)))
+        fmap.check_invariants()
+    assert fmap.free_units + sum(length for _, length in live) == CAPACITY

@@ -1,7 +1,7 @@
 """Unit + property tests for the bisect-backed ordered containers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -54,6 +54,30 @@ class TestSortedAddresses:
         assert s.range(0, 100) == [1, 3, 5, 7]
         assert s.range(8, 9) == []
 
+    def test_replace_keeps_rank(self):
+        s = SortedAddresses([1, 5, 9])
+        s.replace(5, 8)
+        assert list(s) == [1, 8, 9]
+        s.replace(9, 100)
+        assert list(s) == [1, 8, 100]
+
+    def test_replace_that_would_reorder_raises(self):
+        s = SortedAddresses([1, 5, 9])
+        with pytest.raises(SimulationError):
+            s.replace(5, 9)
+        with pytest.raises(SimulationError):
+            s.replace(5, 1)
+        with pytest.raises(SimulationError):
+            s.replace(4, 6)
+        assert list(s) == [1, 5, 9]
+
+    def test_iter_above(self):
+        s = SortedAddresses([1, 3, 5, 7])
+        assert list(s.iter_above(3)) == [5, 7]
+        assert list(s.iter_above(4)) == [5, 7]
+        assert list(s.iter_above(0)) == [1, 3, 5, 7]
+        assert list(s.iter_above(7)) == []
+
 
 @given(st.sets(st.integers(min_value=0, max_value=10_000), max_size=100))
 @settings(max_examples=100)
@@ -92,3 +116,43 @@ class TestSortedPairs:
         pairs.add(8, 100)
         pairs.add(8, 200)
         assert pairs.first_with_primary_at_least(8) == (8, 100)
+
+    def test_move_to_a_lower_rank(self):
+        pairs = SortedPairs()
+        for pair in [(2, 0), (5, 10), (7, 3), (9, 40)]:
+            pairs.add(*pair)
+        pairs.move((9, 40), (5, 50))
+        assert list(pairs) == [(2, 0), (5, 10), (5, 50), (7, 3)]
+        pairs.move((5, 50), (5, 49))  # same rank: one slot write
+        assert list(pairs) == [(2, 0), (5, 10), (5, 49), (7, 3)]
+
+    def test_move_rejects_missing_or_larger_pair(self):
+        pairs = SortedPairs()
+        pairs.add(5, 10)
+        with pytest.raises(SimulationError):
+            pairs.move((4, 10), (3, 10))
+        with pytest.raises(SimulationError):
+            pairs.move((5, 10), (6, 10))
+        assert list(pairs) == [(5, 10)]
+
+
+@given(
+    st.sets(st.tuples(st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=40),
+    st.data(),
+)
+@settings(max_examples=100)
+def test_property_move_matches_remove_and_add(pairs, data):
+    ordered = sorted(pairs)
+    old = data.draw(st.sampled_from(ordered))
+    below = [
+        (primary, secondary)
+        for primary in range(old[0] + 1) for secondary in range(51)
+        if (primary, secondary) < old and (primary, secondary) not in pairs
+    ]
+    assume(below)
+    new = data.draw(st.sampled_from(below))
+    moved = SortedPairs()
+    for pair in ordered:
+        moved.add(*pair)
+    moved.move(old, new)
+    assert list(moved) == sorted((pairs - {old}) | {new})
