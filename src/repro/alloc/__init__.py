@@ -19,7 +19,7 @@ from .extent import (
 )
 from .fixed import FixedBlockAllocator
 from .logstructured import LogStructuredAllocator
-from .freestore import FreeBlockList, LadderFreeStore
+from .freestore import LadderFreeStore
 from .metrics import FragmentationReport, measure_fragmentation
 from .restricted import (
     DEFAULT_REGION_BYTES,
@@ -43,7 +43,6 @@ __all__ = [
     "DEVIATION_FRACTION",
     "FixedBlockAllocator",
     "LogStructuredAllocator",
-    "FreeBlockList",
     "LadderFreeStore",
     "FragmentationReport",
     "measure_fragmentation",

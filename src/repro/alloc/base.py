@@ -304,6 +304,12 @@ class Allocator(abc.ABC):
         """Allocated fraction of the address space."""
         return self._allocated_units / self.capacity_units
 
+    def average_extents_per_file(self) -> float:
+        """Mean data-extent count over live files (Table 4's statistic)."""
+        if not self.files:
+            return 0.0
+        return sum(h.extent_count for h in self.files.values()) / len(self.files)
+
     def _check_live(self, handle: AllocFile) -> None:
         if handle.deleted or handle.file_id not in self.files:
             raise FileSystemError(f"file {handle.file_id} is not live")

@@ -171,13 +171,6 @@ class ExtentAllocator(Allocator):
         """Largest single free hole."""
         return self._free.largest_free()
 
-    def average_extents_per_file(self) -> float:
-        """Mean data-extent count over live files (Table 4's statistic)."""
-        if not self.files:
-            return 0.0
-        total = sum(handle.extent_count for handle in self.files.values())
-        return total / len(self.files)
-
     def snapshot_free_state(self) -> dict:
         """Free holes in address order (fingerprint hook)."""
         return {

@@ -7,16 +7,20 @@ is maintained in sorted order. ... Maximum sized blocks which are
 completely unused require one bit.  Smaller blocks are represented only if
 one of their buddies is in use."
 
-This is the hot-path implementation.  :class:`FreeBlockList` keeps one
-flat sorted address list per block size — a single container answering
-membership, successor, and range queries by bisection, with whole sibling
-runs spliced in and out as one C-level slice operation (the batched form
-of the paper's split and coalesce walks).  :class:`LadderFreeStore` owns
-the maximum-size bitmap (one Python int, bit ``i`` set when maximum-size
-block ``i`` is free) plus one list per smaller ladder size, and
-optionally maintains per-region, per-size free-block counts so the
-restricted policy's region ring scans skip empty regions in O(1) instead
-of bisecting into every region.
+This is the hot-path implementation.  :class:`LadderFreeStore` owns the
+maximum-size bitmap (one Python int, bit ``i`` set when maximum-size
+block ``i`` is free) plus one plain sorted ``list[int]`` of free
+addresses per smaller ladder size: bisection finds a block, and whole
+sibling runs are spliced in and out as one C-level slice operation (the
+batched form of the paper's split and coalesce walks).  It optionally
+maintains per-region, per-size free-block counts so the restricted
+policy's region ring scans skip empty regions in O(1) instead of
+bisecting into every region.
+
+Allocation goes through two find-and-take methods and nothing else:
+:meth:`~LadderFreeStore.take_run_in_region` takes a run of exact-size
+blocks, and :meth:`~LadderFreeStore.take_split_in_region` probes each
+larger rung through it and splits the block it takes.
 
 Every allocation decision is bit-identical to the pre-rewrite circular
 DLL + dict + bisect-index triple, kept as a test oracle in
@@ -31,109 +35,6 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ..errors import SimulationError
-
-
-class FreeBlockList:
-    """Sorted free-block addresses in one flat list.
-
-    A single container replaces the former DLL + dict + bisect-index
-    triple: bisection serves membership and ordered queries, and slice
-    splices serve the batched sibling-run operations (`add_run`,
-    `remove_group_run`) the split/coalesce paths use.  Addresses on one
-    list are all multiples of the list's block size, which is what makes
-    a sibling group a contiguous slice.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, address: int) -> bool:
-        items = self._items
-        index = bisect_left(items, address)
-        return index < len(items) and items[index] == address
-
-    def add(self, address: int) -> None:
-        """Insert a free block (error if already present — double free)."""
-        items = self._items
-        index = bisect_left(items, address)
-        if index < len(items) and items[index] == address:
-            raise SimulationError(f"block {address} already free")
-        items.insert(index, address)
-
-    def add_run(self, start: int, step: int, count: int) -> None:
-        """Splice in ``count`` ascending addresses ``start, start+step, …``.
-
-        One bisect and one slice assignment, versus ``count`` separate
-        inserts.  The run's span must be disjoint from existing members
-        (its addresses are every multiple of ``step`` in the span, so any
-        overlap is a double free).
-        """
-        items = self._items
-        span_end = start + step * count
-        index = bisect_left(items, start)
-        if index < len(items) and items[index] < span_end:
-            raise SimulationError(f"block {items[index]} already free")
-        items[index:index] = range(start, span_end, step)
-
-    def remove(self, address: int) -> None:
-        """Remove a block known to be on the list."""
-        items = self._items
-        index = bisect_left(items, address)
-        if index >= len(items) or items[index] != address:
-            raise SimulationError(f"block {address} not on free list")
-        del items[index]
-
-    def remove_group_run(self, start: int, span: int, expected: int) -> bool:
-        """Remove all members in ``[start, start+span)`` iff exactly
-        ``expected`` are present; return whether they were removed.
-
-        The coalescing step: a sibling group is complete when every
-        sibling except the block being freed is on the list, i.e. when
-        the span holds exactly ``expected`` members.  One bisect pair and
-        one slice delete, versus per-sibling membership checks and
-        removals.
-        """
-        items = self._items
-        lo = bisect_left(items, start)
-        hi = bisect_left(items, start + span, lo)
-        if hi - lo != expected:
-            return False
-        del items[lo:hi]
-        return True
-
-    def first(self) -> int | None:
-        """Lowest free address, or None."""
-        items = self._items
-        return items[0] if items else None
-
-    def first_at_or_after(self, address: int) -> int | None:
-        """Lowest free address >= ``address``, or None."""
-        items = self._items
-        index = bisect_left(items, address)
-        return items[index] if index < len(items) else None
-
-    def first_in_range(self, low: int, high: int) -> int | None:
-        """Lowest free address in ``[low, high)``, or None."""
-        items = self._items
-        index = bisect_left(items, low)
-        if index < len(items) and items[index] < high:
-            return items[index]
-        return None
-
-    def addresses(self) -> list[int]:
-        """All free addresses in order."""
-        return list(self._items)
-
-    def check_consistent(self) -> None:
-        """Verify strict ascending order (test hook)."""
-        items = self._items
-        if any(b <= a for a, b in zip(items, items[1:])):
-            raise SimulationError("free list out of order")
 
 
 class LadderFreeStore:
@@ -151,10 +52,10 @@ class LadderFreeStore:
             restricted policy's "which region has a block of this size"
             ring scans without probing each region's structures.
 
-    The store knows nothing about files or grow policies — it answers
-    "give me a free block of size s near address a" style queries and
-    keeps the buddy-coalescing invariant: a block appears on a free list
-    only if its enclosing next-size block is not entirely free.
+    The store knows nothing about files or grow policies — it hands out
+    "a free block of size s near address a" and keeps the
+    buddy-coalescing invariant: a block appears on a free list only if
+    its enclosing next-size block is not entirely free.
 
     A ``capacity_units`` that is not a multiple of the largest ladder
     size leaves a *partial tail* past the last maximum-size block.  The
@@ -189,7 +90,9 @@ class LadderFreeStore:
         self._max_slots = capacity_units // self.max_size
         self._free_slots = self._max_slots  # set bits in the bitmap
         self._bits = (1 << self._max_slots) - 1  # bit i set == max block i free
-        self._lists: dict[int, FreeBlockList] = {s: FreeBlockList() for s in sizes[:-1]}
+        # One sorted address list per smaller size.  Members are multiples
+        # of the list's size, so a sibling group is one contiguous slice.
+        self._lists: dict[int, list[int]] = {s: [] for s in sizes[:-1]}
         self._free_units = self._max_slots * self.max_size
         # Region summaries: _region_counts[size_index][region] counts free
         # blocks of that size whose start address falls in the region.
@@ -216,7 +119,7 @@ class LadderFreeStore:
         remaining = self.capacity_units - position
         for size in reversed(self.sizes[:-1]):
             while remaining >= size and position % size == 0:
-                self._lists[size].add(position)
+                self._lists[size].append(position)  # ascending: no bisect
                 self._count_delta(self._size_index[size], position, 1)
                 position += size
                 remaining -= size
@@ -230,23 +133,6 @@ class LadderFreeStore:
         if counts is not None:
             counts[size_index][address // self.region_units] += delta
 
-    def _count_run_delta(
-        self, size_index: int, start: int, step: int, count: int, delta: int
-    ) -> None:
-        """Count update for ``count`` blocks at ``start, start+step, …``."""
-        counts = self._region_counts
-        if counts is None:
-            return
-        region_units = self.region_units
-        first_region = start // region_units
-        last_region = (start + step * (count - 1)) // region_units
-        if first_region == last_region:
-            counts[size_index][first_region] += delta * count
-        else:
-            row = counts[size_index]
-            for address in range(start, start + step * count, step):
-                row[address // region_units] += delta
-
     def region_has_exact(self, size: int, region: int) -> bool:
         """True when the region holds a free block of exactly ``size``.
 
@@ -258,7 +144,7 @@ class LadderFreeStore:
             return counts[self._size_index[size]][region] > 0
         if size == self.max_size:
             return self._free_slots > 0
-        return len(self._lists[size]) > 0
+        return bool(self._lists[size])
 
     def region_has_splittable(self, size: int, region: int) -> bool:
         """True when the region holds any free block *larger* than ``size``."""
@@ -280,43 +166,11 @@ class LadderFreeStore:
         """Units on free lists + free max blocks."""
         return self._free_units
 
-    def is_max_size(self, size: int) -> bool:
-        """True for the ladder's largest size (bitmap-managed)."""
-        return size == self.max_size
-
-    def free_exact(
-        self, size: int, low: int, high: int, prefer: int | None = None
-    ) -> int | None:
-        """Find a free block of exactly ``size`` within ``[low, high)``.
-
-        Preference order: the exact ``prefer`` address (contiguity with the
-        file's previous block), then the first free block at or after
-        ``prefer``, then the first in range.  Returns an address without
-        taking it.
-        """
-        if size == self.max_size:
-            return self._free_max_in(low, high, prefer)
-        # Hot path: operate on the list's backing array directly — one
-        # bisect per probe, no per-query method dispatch.
-        items = self._lists[size]._items
-        n_items = len(items)
-        if prefer is not None:
-            start = prefer if prefer >= low else low
-            index = bisect_left(items, start)
-            if index < n_items:
-                candidate = items[index]
-                if candidate == prefer and low <= prefer < high:
-                    return prefer  # prefer is free: contiguity wins
-                if candidate < high:
-                    return candidate
-        index = bisect_left(items, low)
-        if index < n_items and items[index] < high:
-            return items[index]
-        return None
-
     def _free_max_in(
         self, low: int, high: int, prefer: int | None
     ) -> int | None:
+        """First free maximum-size block in ``[low, high)`` by the take
+        order (``prefer``, then at or after it, then lowest), or None."""
         max_size = self.max_size
         low_slot = -(-low // max_size)
         high_slot = min(high // max_size, self._max_slots)
@@ -347,116 +201,7 @@ class LadderFreeStore:
         slot = low_slot + (shifted & -shifted).bit_length() - 1
         return slot if slot < high_slot else None
 
-    def take_in_region(
-        self, size: int, low: int, high: int, prefer: int | None = None
-    ) -> int | None:
-        """Find *and take* a free block of exactly ``size`` in ``[low, high)``.
-
-        Fused form of :meth:`free_exact` + :meth:`take` for the allocation
-        hot path: the bisect that finds the block also locates it for
-        removal, so a successful probe costs one search instead of two.
-        Same selection order as :meth:`free_exact`; returns the taken
-        address or None.
-        """
-        if size == self.max_size:
-            address = self._free_max_in(low, high, prefer)
-            if address is None:
-                return None
-            self._bits &= ~(1 << (address // size))
-            self._free_slots -= 1
-            counts = self._region_counts
-            if counts is not None:
-                counts[-1][address // self.region_units] -= 1
-            self._free_units -= size
-            return address
-        items = self._lists[size]._items
-        n_items = len(items)
-        index = -1
-        if prefer is not None:
-            probe = bisect_left(items, prefer if prefer >= low else low)
-            if probe < n_items and items[probe] < high:
-                index = probe
-        if index < 0:
-            probe = bisect_left(items, low)
-            if probe < n_items and items[probe] < high:
-                index = probe
-            else:
-                return None
-        address = items[index]
-        del items[index]
-        counts = self._region_counts
-        if counts is not None:
-            counts[self._size_index[size]][address // self.region_units] -= 1
-        self._free_units -= size
-        return address
-
-    def take_split_in_region(
-        self, size: int, low: int, high: int, prefer: int | None = None
-    ) -> int | None:
-        """Find a larger free block in range, split it, take ``size``.
-
-        Fused form of :meth:`splittable` + :meth:`take_split`: the bisect
-        that finds the smallest adequate larger block also locates it for
-        removal, and the split's sibling runs splice straight in.  Same
-        selection order as the unfused pair; returns the allocated
-        address or None when no larger block exists in range.
-        """
-        sizes = self.sizes
-        max_size = self.max_size
-        counts = self._region_counts
-        start_index = self._size_index[size] + 1
-        for larger_index in range(start_index, len(sizes)):
-            larger = sizes[larger_index]
-            if larger == max_size:
-                address = self._free_max_in(low, high, prefer)
-                if address is None:
-                    return None  # the ladder's last size: nothing anywhere
-                self._bits &= ~(1 << (address // max_size))
-                self._free_slots -= 1
-                if counts is not None:
-                    counts[-1][address // self.region_units] -= 1
-            else:
-                items = self._lists[larger]._items
-                n_items = len(items)
-                index = -1
-                if prefer is not None:
-                    probe = bisect_left(items, prefer if prefer >= low else low)
-                    if probe < n_items and items[probe] < high:
-                        index = probe
-                if index < 0:
-                    probe = bisect_left(items, low)
-                    if probe < n_items and items[probe] < high:
-                        index = probe
-                    else:
-                        continue
-                address = items[index]
-                del items[index]
-                if counts is not None:
-                    counts[larger_index][address // self.region_units] -= 1
-            self._free_units -= larger
-            for level in range(larger_index, start_index - 1, -1):
-                child = sizes[level - 1]
-                count = sizes[level] // child - 1
-                run_start = address + child
-                span_end = address + sizes[level]
-                # add_run, inlined: one bisect, one slice assignment.
-                items = self._lists[child]._items
-                probe = bisect_left(items, run_start)
-                if probe < len(items) and items[probe] < span_end:
-                    raise SimulationError(f"block {items[probe]} already free")
-                items[probe:probe] = range(run_start, span_end, child)
-                if counts is not None:
-                    region_units = self.region_units
-                    first = run_start // region_units
-                    row = counts[level - 1]
-                    if first == (span_end - child) // region_units:
-                        row[first] += count
-                    else:
-                        for member in range(run_start, span_end, child):
-                            row[member // region_units] += 1
-                self._free_units += child * count
-            return address
-        return None
+    # -- mutation ------------------------------------------------------------
 
     def take_run_in_region(
         self,
@@ -466,54 +211,36 @@ class LadderFreeStore:
         prefer: int | None,
         max_blocks: int,
     ) -> tuple[int, int] | None:
-        """Take a run of up to ``max_blocks`` consecutive same-size blocks.
+        """Take a run of up to ``max_blocks`` consecutive ``size`` blocks.
 
-        The first block is chosen exactly as :meth:`take_in_region`
-        chooses it (the preferred address when free, else the nearest
-        block at or after it, else the first in ``[low, high)``); the run
+        The store's one exact-size take.  The first block is the
+        ``prefer`` address when it is free and in ``[low, high)``
+        (contiguity with the file's previous block), else the first free
+        block at or after ``prefer``, else the first in range.  The run
         then extends over immediately adjacent free blocks while they
-        start below ``high``.  Returns ``(start, count)`` or None when
-        the region holds no exact-size block.
+        start below ``high``.  Returns ``(start, count)``, or None when
+        the range holds no block of exactly ``size``.
 
         This is the sequential-contiguity streak, batched: block by
         block, the caller's next preferred address would be exactly the
         previous block's end, so each adjacent free block taken here is
-        the block a :meth:`take_in_region` loop would have taken — at one
+        the block a one-block take would have chosen next — at one
         bisect and one list splice (or one big-int mask) for the whole
         run instead of a bisect and an O(n) element delete per block.
         """
-        counts = self._region_counts
         if size == self.max_size:
-            # Bitmap ladder rung: mirror _free_max_in's probe order, then
-            # clear the whole run of consecutive set bits with one mask.
-            low_slot = -(-low // size)
-            high_slot = min(high // size, self._max_slots)
-            bits = self._bits
-            slot = -1
-            if prefer is not None and prefer % size == 0:
-                pslot = prefer // size
-                if low_slot <= pslot < high_slot and (bits >> pslot) & 1:
-                    slot = pslot
-                else:
-                    found = self._first_set_in_range(
-                        pslot if pslot > low_slot else low_slot, high_slot
-                    )
-                    if found is not None:
-                        slot = found
-            if slot < 0:
-                found = self._first_set_in_range(low_slot, high_slot)
-                if found is None:
-                    return None
-                slot = found
-            shifted = bits >> slot
-            inverted = ~shifted
+            start = self._free_max_in(low, high, prefer)
+            if start is None:
+                return None
+            # Clear the whole run of consecutive set bits with one mask.
+            slot = start // size
+            inverted = ~(self._bits >> slot)
             run = (inverted & -inverted).bit_length() - 1
-            taken = min(max_blocks, high_slot - slot, run)
-            self._bits = bits & ~(((1 << taken) - 1) << slot)
+            taken = min(max_blocks, min(high // size, self._max_slots) - slot, run)
+            self._bits &= ~(((1 << taken) - 1) << slot)
             self._free_slots -= taken
-            start = slot * size
         else:
-            items = self._lists[size]._items
+            items = self._lists[size]
             n_items = len(items)
             index = -1
             if prefer is not None:
@@ -538,6 +265,7 @@ class LadderFreeStore:
                 taken += 1
                 expected += size
             del items[index:index + taken]
+        counts = self._region_counts
         if counts is not None:
             region_units = self.region_units
             row = counts[self._size_index[size]]
@@ -551,78 +279,50 @@ class LadderFreeStore:
         self._free_units -= taken * size
         return start, taken
 
-    def splittable(
+    def take_split_in_region(
         self, size: int, low: int, high: int, prefer: int | None = None
-    ) -> tuple[int, int] | None:
-        """Find a *larger* free block in range that could be split for ``size``.
+    ) -> int | None:
+        """Split the smallest adequate larger block in range, take ``size``.
 
-        Returns ``(address, block size)`` of the smallest adequate larger
-        block, preferring one starting exactly at ``prefer`` (the "next
-        sequential block" the paper says splits should favour).  Does not
-        take the block.
+        Each larger rung, smallest first, is probed by a one-block
+        :meth:`take_run_in_region`, so the split favours the block at
+        ``prefer`` (the paper's "next sequential block").  The first hit
+        is split: its leading ``size`` piece is returned and the unused
+        siblings are spliced onto the smaller lists, one slice per rung
+        (no coalescing needed: their siblings are what was just taken).
+        Returns the allocated address, or None when no larger block
+        exists in range.
         """
-        start_index = self._size_index[size] + 1
-        for larger in self.sizes[start_index:]:
-            candidate = self.free_exact(larger, low, high, prefer)
-            if candidate is not None:
-                return candidate, larger
-        return None
-
-    # -- mutation ------------------------------------------------------------
-
-    def take(self, address: int, size: int) -> None:
-        """Take a known-free block of exactly ``size`` at ``address``."""
-        if address % size:
-            raise SimulationError(f"misaligned take: {address} % {size}")
-        if size == self.max_size:
-            slot = address // size
-            if not 0 <= slot < self._max_slots:
-                raise SimulationError(
-                    f"bit {slot} outside bitmap of {self._max_slots}"
-                )
-            mask = 1 << slot
-            if not self._bits & mask:
-                raise SimulationError(f"bit {slot} already clear")
-            self._bits &= ~mask
-            self._free_slots -= 1
-            counts = self._region_counts
-            if counts is not None:
-                counts[-1][address // self.region_units] -= 1
-        else:
-            items = self._lists[size]._items
-            index = bisect_left(items, address)
-            if index >= len(items) or items[index] != address:
-                raise SimulationError(f"block {address} not on free list")
-            del items[index]
-            counts = self._region_counts
-            if counts is not None:
-                counts[self._size_index[size]][address // self.region_units] -= 1
-        self._free_units -= size
-
-    def take_split(self, address: int, block_size: int, want_size: int) -> int:
-        """Split a free ``block_size`` block, taking its leading ``want_size``.
-
-        The unused pieces are returned to the appropriate free lists (no
-        coalescing needed: their siblings are what we just took), each
-        level's sibling run spliced in as one slice operation.  Returns
-        the allocated address (== ``address``).
-        """
-        if block_size <= want_size:
-            raise SimulationError("split target not larger than want size")
-        self.take(address, block_size)
         sizes = self.sizes
-        current_index = self._size_index[block_size]
-        want_index = self._size_index[want_size]
-        for level in range(current_index, want_index, -1):
-            child = sizes[level - 1]
-            parent = sizes[level]
-            count = parent // child - 1
-            self._lists[child].add_run(address + child, child, count)
-            counts = self._region_counts
-            if counts is not None:
-                self._count_run_delta(level - 1, address + child, child, count, 1)
-            self._free_units += child * count
-        return address
+        counts = self._region_counts
+        start_index = self._size_index[size] + 1
+        for larger_index in range(start_index, len(sizes)):
+            hit = self.take_run_in_region(sizes[larger_index], low, high, prefer, 1)
+            if hit is None:
+                continue
+            address = hit[0]
+            for level in range(larger_index, start_index - 1, -1):
+                child = sizes[level - 1]
+                count = sizes[level] // child - 1
+                run_start = address + child
+                span_end = address + sizes[level]
+                items = self._lists[child]
+                probe = bisect_left(items, run_start)
+                if probe < len(items) and items[probe] < span_end:
+                    raise SimulationError(f"block {items[probe]} already free")
+                items[probe:probe] = range(run_start, span_end, child)
+                if counts is not None:
+                    region_units = self.region_units
+                    first = run_start // region_units
+                    row = counts[level - 1]
+                    if first == (span_end - child) // region_units:
+                        row[first] += count
+                    else:
+                        for member in range(run_start, span_end, child):
+                            row[member // region_units] += 1
+                self._free_units += child * count
+            return address
+        return None
 
     def release(self, address: int, size: int) -> None:
         """Free a block, coalescing full sibling groups up the ladder.
@@ -682,7 +382,7 @@ class LadderFreeStore:
             # starting at group_start, above it exactly m entries ending
             # at group_end - size — pigeonhole then forces them to be
             # precisely the k + m = ratio - 1 siblings.
-            items = self._lists[size]._items
+            items = self._lists[size]
             n_items = len(items)
             insert_at = bisect_left(items, address)
             if insert_at < n_items and items[insert_at] == address:
@@ -736,7 +436,7 @@ class LadderFreeStore:
             if counts is not None:
                 counts[-1][address // self.region_units] += 1
         else:
-            self._lists[size]._items.insert(insert_at, address)
+            self._lists[size].insert(insert_at, address)
             if counts is not None:
                 counts[index][address // self.region_units] += 1
         self._free_units += released_units
@@ -762,7 +462,7 @@ class LadderFreeStore:
                         f"free maximum block at {covering}"
                     )
             else:
-                items = self._lists[candidate]._items
+                items = self._lists[candidate]
                 probe = bisect_left(items, covering)
                 if probe < len(items) and items[probe] == covering:
                     raise SimulationError(
@@ -795,9 +495,9 @@ class LadderFreeStore:
             "free_units": self._free_units,
             "max_slots": self._set_slots(),
             "lists": {
-                str(size): self._lists[size].addresses()
+                str(size): list(self._lists[size])
                 for size in self.sizes[:-1]
-                if len(self._lists[size])
+                if self._lists[size]
             },
         }
 
@@ -807,8 +507,9 @@ class LadderFreeStore:
             raise SimulationError("bitmap set count out of sync")
         total = self._free_slots * self.max_size
         for size, free_list in self._lists.items():
-            free_list.check_consistent()
-            for address in free_list.addresses():
+            if any(b <= a for a, b in zip(free_list, free_list[1:])):
+                raise SimulationError(f"{size}-block free list out of order")
+            for address in free_list:
                 if address % size:
                     raise SimulationError(f"misaligned free block {address}/{size}")
             total += len(free_list) * size
@@ -819,10 +520,8 @@ class LadderFreeStore:
         # Coalescing invariant: no complete free sibling group may linger.
         for size_index, size in enumerate(self.sizes[:-1]):
             parent = self.sizes[size_index + 1]
-            free_list = self._lists[size]
-            addresses = free_list.addresses()
             by_group: dict[int, int] = {}
-            for address in addresses:
+            for address in self._lists[size]:
                 group = address - (address % parent)
                 by_group[group] = by_group.get(group, 0) + 1
             ratio = parent // size
@@ -838,7 +537,7 @@ class LadderFreeStore:
                 recount[-1][(slot * self.max_size) // self.region_units] += 1
             for size, free_list in self._lists.items():
                 row = recount[self._size_index[size]]
-                for address in free_list.addresses():
+                for address in free_list:
                     row[address // self.region_units] += 1
             if recount != self._region_counts:
                 raise SimulationError("region summaries out of sync")

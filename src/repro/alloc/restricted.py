@@ -117,18 +117,23 @@ class RestrictedBuddyAllocator(Allocator):
             self._region_units = config.region_units
         else:
             self._region_units = capacity_units  # one region == no clustering
-        self._n_regions = -(-capacity_units // self._region_units)
+        # Each region's ``[low, high)`` window, the last one cut at the
+        # capacity: the block hunt reads one instead of recomputing it.
+        self._windows = tuple(
+            (low, min(low + self._region_units, capacity_units))
+            for low in range(0, capacity_units, self._region_units)
+        )
+        self._n_regions = len(self._windows)
         self._last_satisfied_region = 0
         # Everything _extend reads per call that cannot change after
         # construction (config is a frozen dataclass; capacity is fixed
         # here), packed so the hot loop pays one attribute lookup and a
-        # tuple unpack instead of six lookups.  The store is deliberately
+        # tuple unpack instead of four lookups.  The store is deliberately
         # NOT cached: tests swap in a shadow store after construction.
         self._extend_hot = (
             config.block_sizes_units,
             config.grow_factor,
             self._region_units,
-            capacity_units,
             len(config.block_sizes_units) - 1,
         )
         # Tier bookkeeping lives in handle.policy_state:
@@ -136,124 +141,62 @@ class RestrictedBuddyAllocator(Allocator):
         #   "tier_units": units allocated at that tier so far
         #   "prev_end": end address of the most recent allocation
 
-    # -- region helpers ----------------------------------------------------------
-
-    def _region_bounds(self, region: int) -> tuple[int, int]:
-        low = region * self._region_units
-        return low, min(low + self._region_units, self.capacity_units)
-
     # -- the block hunt ------------------------------------------------------------
 
-    def _find_block(
-        self, size: int, optimal_region: int, prefer: int | None
+    def _take_blocks(
+        self, size: int, optimal: int, prefer: int | None, want: int
     ) -> tuple[int, int]:
-        """Locate a block of ``size``; returns ``(address, found size)``.
+        """Take up to ``want`` contiguous ``size`` blocks: ``(start, count)``.
 
-        ``found size`` exceeds ``size`` when a split is required.  Raises
-        DiskFullError when nothing anywhere can satisfy the request.
+        The paper's block hunt.  Step 1 is the optimal region: the
+        exact-size run at ``prefer`` (else from the nearest block after
+        it, else from the region's first), else one block split from a
+        larger block there, preferably the next sequential one.  Only
+        this exact probe takes a run; a split and the later steps
+        (:meth:`_take_elsewhere`) take one block.  Raises DiskFullError
+        when nothing anywhere can satisfy the request.
         """
         store = self.store
-        low, high = self._region_bounds(optimal_region)
-
-        # Step 1: the optimal region — exact size, contiguity first.
-        address = store.free_exact(size, low, high, prefer)
-        if address is not None:
-            return address, size
-        # Still step 1: adequate contiguous space in-region -> split a
-        # larger block, preferably the next sequential one.
-        split = store.splittable(size, low, high, prefer)
-        if split is not None:
-            return split
-
-        # Step 2: any region with a block of the correct size, scanning
-        # from the next region around the ring.  The store's per-region
-        # summaries answer "does this region even have one" in O(1), so
-        # only candidate regions pay for a real range query.
-        for distance in range(1, self._n_regions):
-            region = (optimal_region + distance) % self._n_regions
-            if not store.region_has_exact(size, region):
-                continue
-            region_low, region_high = self._region_bounds(region)
-            address = store.free_exact(size, region_low, region_high, None)
-            if address is not None:
-                return address, size
-
-        # Step 3: next region with available space — split a larger block.
-        for distance in range(1, self._n_regions):
-            region = (optimal_region + distance) % self._n_regions
-            if not store.region_has_splittable(size, region):
-                continue
-            region_low, region_high = self._region_bounds(region)
-            split = store.splittable(size, region_low, region_high, None)
-            if split is not None:
-                return split
-
-        raise self._fail(size)
-
-    def _allocate_block(
-        self,
-        size: int,
-        optimal_region: int,
-        prefer: int | None,
-        *,
-        skip_exact_probe: bool = False,
-    ) -> int:
-        """Hot-path form of :meth:`_find_block` that also takes the block.
-
-        Same three-step search order, but each probe uses the store's
-        fused find-and-take methods so a hit costs one search instead of
-        a find followed by a re-locating take.  :meth:`_find_block` stays
-        as the non-mutating query form; the differential tests hold the
-        two to identical decisions via the reference store.
-
-        ``skip_exact_probe`` lets a caller whose own exact-block probe of
-        the optimal region just missed (take_run_in_region returning None
-        implies take_in_region would too) skip step 1's repeat of it.
-        """
-        store = self.store
-        region_units = self._region_units
-        capacity = self.capacity_units
-        low = optimal_region * region_units
-        high = low + region_units
-        if high > capacity:
-            high = capacity
-        # Step 1: exact block in the optimal region, contiguity first;
-        # then an in-region split of a larger block.
-        address = (
-            None
-            if skip_exact_probe
-            else store.take_in_region(size, low, high, prefer)
+        low, high = self._windows[optimal]
+        hit = store.take_run_in_region(size, low, high, prefer, want)
+        if hit is None:
+            start = store.take_split_in_region(size, low, high, prefer)
+            if start is None:
+                start = self._take_elsewhere(size, optimal)
+            hit = (start, 1)
+        start, count = hit
+        self._last_satisfied_region = (
+            (start + (count - 1) * size) // self._region_units
         )
-        if address is None:
-            address = store.take_split_in_region(size, low, high, prefer)
-        if address is None:
-            # Step 2: any region with an exact-size block, ring order.
-            n_regions = self._n_regions
-            for distance in range(1, n_regions):
-                region = (optimal_region + distance) % n_regions
-                if not store.region_has_exact(size, region):
-                    continue
-                region_low = region * region_units
-                region_high = min(region_low + region_units, capacity)
-                address = store.take_in_region(size, region_low, region_high)
-                if address is not None:
-                    break
-        if address is None:
-            # Step 3: next region with available space — split there.
-            n_regions = self._n_regions
-            for distance in range(1, n_regions):
-                region = (optimal_region + distance) % n_regions
-                if not store.region_has_splittable(size, region):
-                    continue
-                region_low = region * region_units
-                region_high = min(region_low + region_units, capacity)
-                address = store.take_split_in_region(size, region_low, region_high)
-                if address is not None:
-                    break
-        if address is None:
-            raise self._fail(size)
-        self._last_satisfied_region = address // region_units
-        return address
+        return hit
+
+    def _take_elsewhere(self, size: int, optimal: int) -> int:
+        """Steps 2 and 3: one ``size`` block from another region.
+
+        Step 2 takes an exact-size block from the next region around the
+        ring that has one; step 3 splits a larger block in the next
+        region that has one.  The store's per-region counts let both
+        rings skip empty regions in O(1).
+        """
+        store = self.store
+        windows = self._windows
+        n_regions = self._n_regions
+        ring = range(optimal + 1, optimal + n_regions)
+        for shifted in ring:
+            region = shifted % n_regions
+            if store.region_has_exact(size, region):
+                low, high = windows[region]
+                hit = store.take_run_in_region(size, low, high, None, 1)
+                if hit is not None:
+                    return hit[0]
+        for shifted in ring:
+            region = shifted % n_regions
+            if store.region_has_splittable(size, region):
+                low, high = windows[region]
+                start = store.take_split_in_region(size, low, high)
+                if start is not None:
+                    return start
+        raise self._fail(size)
 
     # -- grow policy ---------------------------------------------------------------
 
@@ -285,7 +228,7 @@ class RestrictedBuddyAllocator(Allocator):
         # region is the region after the region in which the last request
         # was satisfied."
         region = (self._last_satisfied_region + 1) % self._n_regions
-        address = self._allocate_block(smallest, region, None)
+        address, _ = self._take_blocks(smallest, region, None, 1)
         handle.policy_state["prev_end"] = None
         handle.policy_state["tier"] = 0
         handle.policy_state["tier_units"] = 0
@@ -296,8 +239,7 @@ class RestrictedBuddyAllocator(Allocator):
         # are written back once on success.  On failure the rollback
         # recomputes them from the surviving extents (which never include
         # ``added``), so deferring the writes cannot change the outcome.
-        sizes, grow_factor, region_units, capacity, last_tier = self._extend_hot
-        take_run_in_region = self.store.take_run_in_region
+        sizes, grow_factor, region_units, last_tier = self._extend_hot
         state = handle.policy_state
         tier = state.get("tier", 0)
         tier_units = state.get("tier_units", 0)
@@ -319,22 +261,11 @@ class RestrictedBuddyAllocator(Allocator):
                 else:
                     optimal = self._last_satisfied_region
                     prefer = None
-                # Step 1's exact-block probe, batched: take the whole run
-                # of blocks the block-at-a-time loop would have taken —
-                # first block by take_in_region's selection order, then
-                # adjacent free blocks while each starts inside the same
-                # region window (block by block, the next preferred
-                # address is exactly the previous block's end, and a
-                # block straddling the region edge would shift the next
-                # iteration's window — precisely where the run stops).
-                # Capped at the blocks this tier still owes before its
-                # size bump and at the request's remainder.  A miss falls
-                # into the full three-step search, whose own step-1
-                # re-probe is a no-op repeat of this failed one.
-                low = optimal * region_units
-                high = low + region_units
-                if high > capacity:
-                    high = capacity
+                # Ask for every block the block-at-a-time loop would take
+                # contiguously: block by block, the next preferred address
+                # is exactly the previous block's end.  Capped at the
+                # blocks this tier still owes before its size bump and at
+                # the request's remainder.
                 want = -(-remaining // size)
                 # The bump cap never lowers a single-block request (it is
                 # clamped to >= 1), so skip its divisions when want == 1.
@@ -347,18 +278,7 @@ class RestrictedBuddyAllocator(Allocator):
                         until_bump = 1
                     if until_bump < want:
                         want = until_bump
-                hit = take_run_in_region(size, low, high, prefer, want)
-                if hit is None:
-                    start = self._allocate_block(
-                        size, optimal, prefer, skip_exact_probe=True
-                    )
-                    run = 1
-                else:
-                    start, run = hit
-                    self._last_satisfied_region = (
-                        (start + (run - 1) * size) // region_units
-                    )
-                address = start
+                address, run = self._take_blocks(size, optimal, prefer, want)
                 for _ in range(run):
                     added.append(Extent(address, size))
                     address += size
@@ -394,12 +314,6 @@ class RestrictedBuddyAllocator(Allocator):
         return freed
 
     # -- introspection ----------------------------------------------------------
-
-    def average_extents_per_file(self) -> float:
-        """Mean data-extent (block) count across live files."""
-        if not self.files:
-            return 0.0
-        return sum(h.extent_count for h in self.files.values()) / len(self.files)
 
     def contiguity_fraction(self) -> float:
         """Fraction of inter-block transitions that are contiguous.

@@ -397,16 +397,10 @@ def run_allocation_until_full(
 
     report = fs.fragmentation()
     allocator = fs.allocator
-    if allocator.files:
-        average_extents = sum(
-            h.extent_count for h in allocator.files.values()
-        ) / len(allocator.files)
-    else:
-        average_extents = 0.0
     return AllocationTestResult(
         fragmentation=report,
         operations=operations,
-        average_extents_per_file=average_extents,
+        average_extents_per_file=allocator.average_extents_per_file(),
         file_count=len(allocator.files),
         filled=failed,
     )

@@ -6,9 +6,10 @@ the decisions the originals made:
 1. **Store level** — the production :class:`LadderFreeStore` and the
    retained :class:`ReferenceLadderFreeStore` (the pre-rewrite circular
    DLL + dict + bisect triple, kept verbatim in ``tests.oracles.reference``)
-   answer identical queries and produce identical snapshots through long
-   randomized alloc/split/release sequences, with ``check_invariants``
-   run at every step.
+   take identical blocks and produce identical snapshots through long
+   randomized run-take/split/release sequences, through the same
+   ``take_run_in_region`` and ``take_split_in_region`` calls the
+   restricted policy makes, with ``check_invariants`` run along the way.
 
 2. **Policy level** — a :class:`RestrictedBuddyAllocator` backed by the
    production store and one backed by the reference store are driven
@@ -57,9 +58,35 @@ STORE_CASES = [
 ]
 
 
+def _window(rng, capacity, region_units):
+    """A random ``[low, high)`` probe window.
+
+    Half are windows the restricted policy itself asks for (one region,
+    the last one cut at the capacity); the rest straddle a region edge
+    or the capacity, or are arbitrary.
+    """
+    step = region_units or capacity
+    roll = rng.random()
+    if roll < 0.5:
+        low = rng.randrange(0, capacity, step)
+        return low, min(low + step, capacity)
+    if roll < 0.8:
+        edge = min(rng.choice(range(step, capacity + step, step)), capacity)
+        low = max(0, edge - rng.randrange(1, step + 1))
+        return low, min(capacity, edge + rng.randrange(0, step + 1))
+    low = rng.randrange(0, capacity)
+    return low, rng.randrange(low, capacity + 1)
+
+
 @pytest.mark.parametrize("capacity,sizes,region_units", STORE_CASES)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_store_matches_reference(capacity, sizes, region_units, seed):
+    """The two find-and-take methods production calls, against the oracle.
+
+    Exact runs of 1–8 blocks and splits through random windows, with
+    releases of random held blocks between them; return values, free
+    units and snapshots must agree after every step.
+    """
     rng = random.Random(seed)
     new = LadderFreeStore(capacity, sizes, region_units=region_units)
     ref = ReferenceLadderFreeStore(capacity, sizes)
@@ -68,32 +95,35 @@ def test_store_matches_reference(capacity, sizes, region_units, seed):
     for step in range(1_500):
         size = rng.choice(sizes)
         if rng.random() < 0.55 or not held:
-            low = rng.randrange(0, capacity)
-            high = rng.randrange(low, capacity + 1)
-            prefer = rng.choice([None, rng.randrange(0, capacity)])
-            found = new.free_exact(size, low, high, prefer)
-            assert found == ref.free_exact(size, low, high, prefer)
-            split = new.splittable(size, low, high, prefer)
-            assert split == ref.splittable(size, low, high, prefer)
-            if found is not None and rng.random() < 0.8:
-                new.take(found, size)
-                ref.take(found, size)
-                held.append((found, size))
-            elif split is not None:
-                address, block_size = split
-                new.take_split(address, block_size, size)
-                ref.take_split(address, block_size, size)
-                held.append((address, size))
+            low, high = _window(rng, capacity, region_units)
+            # The policy prefers the end of a file's last block.
+            prefer = rng.choice([None, rng.randrange(0, capacity), low])
+            if held and rng.random() < 0.5:
+                address, held_size = rng.choice(held)
+                prefer = address + held_size
+            if rng.random() < 0.6:
+                max_blocks = rng.randint(1, 8)
+                run = new.take_run_in_region(size, low, high, prefer, max_blocks)
+                assert run == ref.take_run_in_region(
+                    size, low, high, prefer, max_blocks
+                )
+                if run is not None:
+                    start, count = run
+                    held.extend((start + i * size, size) for i in range(count))
+            else:
+                address = new.take_split_in_region(size, low, high, prefer)
+                assert address == ref.take_split_in_region(size, low, high, prefer)
+                if address is not None:
+                    held.append((address, size))
         else:
             address, size = held.pop(rng.randrange(len(held)))
             new.release(address, size)
             ref.release(address, size)
         assert new.free_units == ref.free_units
+        assert new.snapshot() == ref.snapshot()
         if step % 50 == 0:
-            assert new.snapshot() == ref.snapshot()
             new.check_invariants()
             ref.check_invariants()
-    assert new.snapshot() == ref.snapshot()
     new.check_invariants()
     ref.check_invariants()
 
@@ -102,7 +132,7 @@ def test_store_rejects_double_free_like_reference():
     new = LadderFreeStore(4096, (1, 8, 64))
     ref = ReferenceLadderFreeStore(4096, (1, 8, 64))
     for store in (new, ref):
-        store.take_split(0, 64, 8)
+        assert store.take_split_in_region(8, 0, 4096) == 0
     for store in (new, ref):
         store.release(0, 8)
     messages = []

@@ -4,46 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alloc.freestore import FreeBlockList, LadderFreeStore
+from repro.alloc.freestore import LadderFreeStore
 from repro.errors import SimulationError
-
-
-class TestFreeBlockList:
-    def test_add_remove_contains(self):
-        free_list = FreeBlockList()
-        free_list.add(10)
-        free_list.add(5)
-        assert 10 in free_list
-        assert 7 not in free_list
-        free_list.remove(10)
-        assert 10 not in free_list
-
-    def test_double_add_raises(self):
-        free_list = FreeBlockList()
-        free_list.add(1)
-        with pytest.raises(SimulationError):
-            free_list.add(1)
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(SimulationError):
-            FreeBlockList().remove(1)
-
-    def test_ordered_queries(self):
-        free_list = FreeBlockList()
-        for address in (30, 10, 20):
-            free_list.add(address)
-        assert free_list.first() == 10
-        assert free_list.first_at_or_after(15) == 20
-        assert free_list.first_in_range(15, 25) == 20
-        assert free_list.first_in_range(15, 20) is None
-
-    def test_structures_stay_consistent(self):
-        free_list = FreeBlockList()
-        for address in (5, 1, 9, 3, 7):
-            free_list.add(address)
-        free_list.remove(5)
-        free_list.check_consistent()
-        assert free_list.addresses() == [1, 3, 7, 9]
 
 
 class TestLadderConstruction:
@@ -74,63 +36,84 @@ class TestLadderConstruction:
 class TestTakeAndSplit:
     def test_take_exact_max_block(self):
         store = LadderFreeStore(256, (1, 8, 64))
-        address = store.free_exact(64, 0, 256)
-        assert address == 0
-        store.take(address, 64)
+        assert store.take_run_in_region(64, 0, 256, None, 1) == (0, 1)
         assert store.free_units == 192
         store.check_invariants()
 
     def test_take_split_keeps_leading_piece(self):
         store = LadderFreeStore(64, (1, 8, 64))
-        address = store.take_split(0, 64, 1)
+        address = store.take_split_in_region(1, 0, 64)
         assert address == 0
         # Remainder: 7 x 1 and 7 x 8 on the free lists.
         assert store.free_units == 63
+        assert store.snapshot()["lists"] == {
+            "1": list(range(1, 8)),
+            "8": list(range(8, 64, 8)),
+        }
         store.check_invariants()
 
-    def test_misaligned_take_raises(self):
+    def test_take_prefers_contiguity(self):
         store = LadderFreeStore(64, (1, 8))
-        with pytest.raises(SimulationError):
-            store.take(3, 8)
-
-    def test_free_exact_prefers_contiguity(self):
-        store = LadderFreeStore(64, (1, 8))
-        store.take_split(0, 8, 1)  # unit 0 taken; 1..7 free
-        found = store.free_exact(1, 0, 64, prefer=1)
-        assert found == 1
+        store.take_split_in_region(1, 0, 64)  # unit 0 taken; 1..7 free
+        assert store.take_run_in_region(1, 0, 64, 1, 1) == (1, 1)
         # prefer an occupied address -> nearest following free block
-        store.take(1, 1)
-        found = store.free_exact(1, 0, 64, prefer=1)
-        assert found == 2
+        assert store.take_run_in_region(1, 0, 64, 1, 1) == (2, 1)
+        # prefer below the window -> the window's first free block
+        assert store.take_run_in_region(1, 5, 64, 0, 1) == (5, 1)
 
-    def test_free_exact_range_bounds(self):
+    def test_take_range_bounds(self):
         store = LadderFreeStore(128, (1, 8, 64))
-        assert store.free_exact(64, 0, 64) == 0
-        assert store.free_exact(64, 64, 128) == 64
-        store.take(0, 64)
-        assert store.free_exact(64, 0, 64) is None
+        assert store.take_run_in_region(64, 0, 64, None, 1) == (0, 1)
+        # The block at 64 starts at ``high``: outside the window.
+        assert store.take_run_in_region(64, 0, 64, None, 1) is None
+        assert store.take_split_in_region(1, 0, 64) is None
+        assert store.take_run_in_region(64, 64, 128, None, 1) == (64, 1)
+        store.check_invariants()
 
     def test_splittable_finds_smallest_adequate(self):
         store = LadderFreeStore(128, (1, 8, 64))
-        found = store.splittable(1, 0, 128)
-        assert found == (0, 8) or found == (0, 64)
-        # After taking all 8s... exercise: split a 64 to get an 8.
-        store.take_split(0, 64, 8)
+        assert store.take_split_in_region(8, 0, 128) == 0
+        # The next 1-unit request splits the free 8-block at 8, not the
+        # free 64-block at 64.
+        assert store.take_split_in_region(1, 0, 128) == 8
+        snap = store.snapshot()
+        assert snap["max_slots"] == [1]
+        assert snap["lists"] == {
+            "1": list(range(9, 16)),
+            "8": list(range(16, 64, 8)),
+        }
+        store.check_invariants()
+
+    def test_take_run_stops_at_gap_cap_and_window(self):
+        store = LadderFreeStore(64, (1, 8))
+        store.take_split_in_region(1, 0, 64)  # unit 0 taken; 1..7 free
+        store.take_run_in_region(1, 0, 64, 4, 1)  # unit 4 taken
+        assert store.take_run_in_region(1, 0, 64, 1, 8) == (1, 3)  # gap at 4
+        assert store.take_run_in_region(1, 0, 64, 5, 2) == (5, 2)  # cap
+        assert store.take_run_in_region(8, 0, 32, 16, 8) == (16, 2)  # window
+        store.check_invariants()
+
+    def test_take_run_masks_a_bitmap_run(self):
+        store = LadderFreeStore(512, (8, 64), region_units=128)
+        assert store.take_run_in_region(64, 0, 256, 128, 8) == (128, 2)  # window
+        assert store.take_run_in_region(64, 0, 512, 0, 8) == (0, 2)  # gap at 128
+        assert store.snapshot()["max_slots"] == [4, 5, 6, 7]
+        assert not store.region_has_exact(64, 1)
         store.check_invariants()
 
 
 class TestReleaseCoalescing:
     def test_release_coalesces_to_max_and_bitmap(self):
         store = LadderFreeStore(64, (1, 8, 64))
-        store.take_split(0, 64, 1)
+        store.take_split_in_region(1, 0, 64)
         store.release(0, 1)  # the 8 singles coalesce into an 8, then 8s into 64
         assert store.free_units == 64
         store.check_invariants()
 
     def test_partial_group_does_not_coalesce(self):
         store = LadderFreeStore(64, (1, 8, 64))
-        store.take_split(0, 64, 1)  # unit 0 in use
-        store.take(1, 1)            # unit 1 in use
+        store.take_split_in_region(1, 0, 64)       # unit 0 in use
+        store.take_run_in_region(1, 0, 64, 1, 1)  # unit 1 in use
         store.release(0, 1)
         # Unit 1 still allocated: no coalescing past the 1-unit level.
         assert store.free_units == 63
@@ -146,7 +129,7 @@ class TestReleaseCoalescing:
 
     def test_double_release_raises(self):
         store = LadderFreeStore(64, (1, 8, 64))
-        store.take_split(0, 64, 8)
+        store.take_split_in_region(8, 0, 64)
         store.release(0, 8)
         with pytest.raises(SimulationError):
             store.release(0, 8)
@@ -154,7 +137,11 @@ class TestReleaseCoalescing:
 
 @given(
     script=st.lists(
-        st.tuples(st.sampled_from([1, 8, 64]), st.booleans()),
+        st.tuples(
+            st.sampled_from([1, 8, 64]),
+            st.integers(min_value=1, max_value=4),
+            st.booleans(),
+        ),
         max_size=50,
     )
 )
@@ -163,19 +150,19 @@ def test_property_ladder_conservation(script):
     """Random take/release scripts preserve accounting and invariants."""
     store = LadderFreeStore(512, (1, 8, 64))
     live: list[tuple[int, int]] = []
-    for size, release_one in script:
+    for size, max_blocks, release_one in script:
         if release_one and live:
             address, block = live.pop()
             store.release(address, block)
         else:
-            found = store.free_exact(size, 0, 512)
-            if found is not None:
-                store.take(found, size)
-                live.append((found, size))
+            run = store.take_run_in_region(size, 0, 512, None, max_blocks)
+            if run is not None:
+                start, count = run
+                assert 1 <= count <= max_blocks
+                live.extend((start + i * size, size) for i in range(count))
             else:
-                split = store.splittable(size, 0, 512)
-                if split is not None:
-                    address = store.take_split(split[0], split[1], size)
+                address = store.take_split_in_region(size, 0, 512)
+                if address is not None:
                     live.append((address, size))
         store.check_invariants()
     assert store.free_units + sum(size for _, size in live) == 512
@@ -212,9 +199,8 @@ class TestRaggedCapacityTail:
 
     def test_tail_blocks_allocate_and_release(self):
         store = LadderFreeStore(100, (8, 64))
-        found = store.free_exact(8, 64, 100)
+        found, _ = store.take_run_in_region(8, 64, 100, None, 1)
         assert found == 64
-        store.take(found, 8)
         assert store.free_units == 88
         store.check_invariants()
         store.release(found, 8)
@@ -225,8 +211,7 @@ class TestRaggedCapacityTail:
         # Free every tail block: they must stay 8-blocks — coalescing to
         # a 64-block at 64 would claim units 64..128 past capacity 100.
         store = LadderFreeStore(100, (8, 64))
-        for address in (64, 72, 80, 88):
-            store.take(address, 8)
+        assert store.take_run_in_region(8, 64, 100, None, 8) == (64, 4)
         for address in (64, 72, 80, 88):
             store.release(address, 8)
         snap = store.snapshot()

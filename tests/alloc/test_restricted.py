@@ -221,30 +221,40 @@ class TestRegionSelectionSteps:
         specific region, and there is adequate contiguous space, but no
         block of the appropriate size, then a larger block is split."""
         allocator = make(capacity=131_072, sizes=(1, 8, 64), region=32_768)
-        address, found = allocator._find_block(1, 0, None)
-        assert found == 64  # a region-0 split, not a hunt elsewhere
-        assert address // 32_768 == 0
+        assert allocator._take_blocks(1, 0, None, 4) == (0, 1)
+        # A region-0 split of the 64-block at 0, not a hunt elsewhere:
+        # its remainders sit on the smaller lists.
+        assert allocator.store.snapshot()["lists"] == {
+            "1": list(range(1, 8)),
+            "8": list(range(8, 64, 8)),
+        }
+        assert allocator._last_satisfied_region == 0
+
+    def test_step1_exact_probe_takes_a_run_inside_the_region(self):
+        """Only step 1's exact probe takes several blocks: the run from
+        the preferred address, stopping at the region's end."""
+        allocator = make(capacity=131_072, sizes=(1, 8, 64), region=32_768)
+        assert allocator._take_blocks(64, 1, 32_768 + 128, 4) == (32_896, 4)
+        assert allocator._take_blocks(64, 0, 32_640, 8) == (32_640, 2)
+        assert allocator._last_satisfied_region == 0
 
     def test_step2_exact_block_elsewhere_when_region_exhausted(self):
         """When the optimal region has nothing at all, the hunt moves to
         the next region holding a block of the correct size."""
         allocator = make(capacity=131_072, sizes=(1, 8, 64), region=32_768)
         store = allocator.store
-        # Exhaust region 0 completely.
-        while True:
-            candidate = store.free_exact(64, 0, 32_768)
-            if candidate is None:
-                break
-            store.take(candidate, 64)
+        # Exhaust region 0 completely (its 512 maximum-size blocks).
+        assert store.take_run_in_region(64, 0, 32_768, None, 512) == (0, 512)
         # Seed loose 1K blocks in region 2 by splitting a 64-block there
         # and keeping its first unit allocated (so no re-coalescing).
-        split_addr = store.free_exact(64, 65_536, 98_304)
-        store.take_split(split_addr, 64, 1)
-        address, found = allocator._find_block(1, 0, None)
+        assert store.take_split_in_region(1, 65_536, 98_304) == 65_536
         # Step 2: the exact-size block in region 2 wins over splitting a
-        # larger block in region 1.
-        assert found == 1
-        assert address // 32_768 == 2
+        # larger block in region 1, and takes one block only.
+        assert allocator._take_blocks(1, 0, None, 4) == (65_537, 1)
+        snap = store.snapshot()
+        assert snap["lists"]["1"] == list(range(65_538, 65_544))
+        assert snap["max_slots"][:512] == list(range(512, 1024))  # region 1
+        assert allocator._last_satisfied_region == 2
 
     def test_clustered_allocations_follow_descriptor_region(self):
         allocator = make(capacity=131_072, sizes=(1, 8, 64), region=32_768)

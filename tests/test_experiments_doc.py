@@ -1,9 +1,10 @@
 """EXPERIMENTS.md quotes the committed results, number for number.
 
 The doc says re-running the benchmarks reproduces every number in it.
-For the Figure 6 and Table 3 tables that claim is checked here: each
-measured cell must equal the matching value in ``results/``, so a
-regenerated result file and a stale table cannot both be committed.
+For the Figure 6, Table 3 and Table 4 tables that claim is checked here:
+each measured cell must equal the matching value in ``results/`` (Table
+4's cells rounded to the precision they print), so a regenerated result
+file and a stale table cannot both be committed.
 """
 
 import re
@@ -86,3 +87,22 @@ def test_table3_matches_results():
     assert sorted(row[0] for row in table) == sorted(measured)
     for workload, *cells in table:
         assert [number(cell) for cell in cells] == measured[workload], workload
+
+
+def test_table4_matches_results():
+    (table,) = markdown_tables(doc_section("Table 4"))
+    measured = {}
+    results = (ROOT / "results" / "table4_extents_per_file.txt").read_text()
+    for line in results.splitlines():
+        fields = line.split()
+        if fields and fields[0].isdigit():
+            measured[fields[0]] = [float(field) for field in fields[1:]]
+    assert sorted(row[0] for row in table) == sorted(measured)
+    for ranges, *cells in table:
+        assert len(cells) == 3, ranges
+        for workload, cell, value in zip(("SC", "TP", "TS"), cells, measured[ranges]):
+            printed = re.search(r"\d+(?:\.(\d+))?", cell.split("→")[-1])
+            decimals = len(printed.group(1) or "")
+            assert f"{value:.{decimals}f}" == printed.group(), (
+                f"Table 4 {ranges} ranges {workload}: {cell} vs {value}"
+            )
