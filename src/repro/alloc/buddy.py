@@ -6,25 +6,35 @@ extent is required, the extent size is chosen to double the current size
 of the file."  The nightly reallocation process from Koch's DTSS system is
 deliberately *not* simulated — the study evaluates pure allocation.
 
-Free space is the classic binary buddy: per-order free lists, blocks split
-on demand, and freed blocks coalesce with their buddy when both halves are
-free.  A non-power-of-two address space is covered by a descending forest
-of power-of-two segments; buddies never straddle a segment boundary (the
-greedy descending cover guarantees every segment starts at a multiple of
-its own size, so the XOR buddy rule remains valid with absolute
-addresses).
+Free space is the classic binary buddy, run on the restricted policy's
+:class:`~repro.alloc.freestore.LadderFreeStore` over the ladder 1, 2, 4,
+…, 2**k (2**k the largest power of two within the capacity) with no
+regions: a binary buddy system is a restricted buddy system whose sizes
+are every power of two.  Every decision is the one Koch's per-order free
+lists, descending segment cover and XOR coalescing walk made:
+
+* The store seeds the partial tail past its one maximum-size block with
+  the largest aligned ladder blocks that fit, which over a power-of-two
+  ladder is exactly the descending power-of-two cover of a
+  non-power-of-two capacity.
+* The store refuses to coalesce a sibling group that ends past the
+  capacity, which is exactly the rule that a segment-sized block has no
+  buddy (each later segment starts at a multiple of twice its size, so
+  its would-be group always overruns the capacity).
+* The store takes the lowest free block of the exact size first, else
+  splits the lowest block of the smallest larger size and keeps its low
+  end, as Koch's lists did.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
 
 from ..errors import ConfigurationError, DiskFullError
 from ..sim.rng import RandomStream
-from ..structures.sortedlist import SortedAddresses
 from ..units import next_power_of_two
 from .base import AllocFile, Allocator, Extent
+from .freestore import LadderFreeStore
 
 
 def decompose_power_of_two(n_units: int, max_terms: int) -> list[int]:
@@ -67,97 +77,33 @@ class BinaryBuddyAllocator(Allocator):
         self, capacity_units: int, rng: RandomStream | None = None
     ) -> None:
         super().__init__(capacity_units, rng)
-        #: free blocks per order: order -> sorted start addresses.
-        self._free_by_order: dict[int, SortedAddresses] = {}
-        self._segments: list[tuple[int, int]] = []  # (start, order)
-        self._build_cover(capacity_units)
-        self._segment_starts = [start for start, _ in self._segments]
-        self.max_order = max(order for _, order in self._segments)
+        max_order = capacity_units.bit_length() - 1
+        self.store = LadderFreeStore(
+            capacity_units, tuple(1 << order for order in range(max_order + 1))
+        )
 
-    def _build_cover(self, capacity_units: int) -> None:
-        """Cover ``[0, capacity)`` with descending power-of-two segments."""
-        position = 0
-        remaining = capacity_units
-        while remaining > 0:
-            order = remaining.bit_length() - 1  # largest power <= remaining
-            size = 1 << order
-            self._segments.append((position, order))
-            self._free_list(order).add(position)
-            position += size
-            remaining -= size
-
-    def _free_list(self, order: int) -> SortedAddresses:
-        free_list = self._free_by_order.get(order)
-        if free_list is None:
-            free_list = self._free_by_order[order] = SortedAddresses()
-        return free_list
-
-    # -- segment geometry -------------------------------------------------------
-
-    def _segment_of(self, address: int) -> tuple[int, int]:
-        """The (start, order) of the segment containing ``address``."""
-        index = bisect_right(self._segment_starts, address) - 1
-        return self._segments[index]
-
-    def _buddy_of(self, address: int, order: int) -> int | None:
-        """The buddy address of a block, or None at segment scale."""
-        buddy = address ^ (1 << order)
-        seg_start, seg_order = self._segment_of(address)
-        if order >= seg_order:
-            return None  # the block *is* a whole segment
-        if buddy < seg_start or buddy + (1 << order) > seg_start + (1 << seg_order):
-            return None  # pragma: no cover - impossible with aligned cover
-        return buddy
-
-    # -- block alloc / free ------------------------------------------------------
-
-    def _allocate_block(self, order: int) -> int:
-        """Take one block of exactly ``2**order`` units, splitting as needed."""
-        free_list = self._free_by_order.get(order)
-        if free_list is not None:
-            available = free_list.pop_first()
-            if available is not None:
-                return available
-        # Split the smallest larger block (lowest address among that order).
-        for larger in range(order + 1, self.max_order + 1):
-            larger_list = self._free_by_order.get(larger)
-            if larger_list is None:
-                continue
-            candidate = larger_list.pop_first()
-            if candidate is None:
-                continue
-            # Peel halves downward, keeping the low half each time.
-            for current in range(larger - 1, order - 1, -1):
-                self._free_list(current).add(candidate + (1 << current))
-            return candidate
-        raise self._fail(1 << order)
-
-    def _free_block(self, address: int, order: int) -> None:
-        """Return a block, coalescing with free buddies as far as possible.
-
-        Each rung costs one bisect: ``discard`` both answers "is my buddy
-        free" and takes it when it is.
-        """
-        while True:
-            buddy = self._buddy_of(address, order)
-            if buddy is None:
-                break
-            free_list = self._free_by_order.get(order)
-            if free_list is None or not free_list.discard(buddy):
-                break
-            address = min(address, buddy)
-            order += 1
-        self._free_list(order).add(address)
+    def _take(self, size: int) -> int:
+        """Take the lowest free block of exactly ``size`` units, else
+        split the lowest block of the smallest larger size."""
+        store = self.store
+        capacity = self.capacity_units
+        run = store.take_run_in_region(size, 0, capacity, None, 1)
+        if run is not None:
+            return run[0]
+        start = store.take_split_in_region(size, 0, capacity)
+        if start is None:
+            raise self._fail(size)
+        return start
 
     # -- policy hooks -------------------------------------------------------
 
     def _allocate_descriptor(self, handle: AllocFile, size_hint_units: int) -> Extent:
-        start = self._allocate_block(0)
-        return Extent(start, 1)
+        return Extent(self._take(1), 1)
 
     def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
         added: list[Extent] = []
         current_total = handle.allocated_units
+        max_size = self.store.max_size
         try:
             while n_units > 0:
                 if current_total == 0:
@@ -167,15 +113,13 @@ class BinaryBuddyAllocator(Allocator):
                 else:
                     # Doubling: the new extent equals the current file size.
                     size = next_power_of_two(current_total)
-                size = min(size, 1 << self.max_order)
-                order = size.bit_length() - 1
-                start = self._allocate_block(order)
-                added.append(Extent(start, size))
+                size = min(size, max_size)
+                added.append(Extent(self._take(size), size))
                 current_total += size
                 n_units -= size
         except Exception:
             for extent in added:
-                self._free_block(extent.start, extent.length.bit_length() - 1)
+                self.store.release(extent.start, extent.length)
             raise
         return added
 
@@ -188,7 +132,7 @@ class BinaryBuddyAllocator(Allocator):
     def _release_power_block(self, extent: Extent) -> None:
         if extent.length & (extent.length - 1):
             raise ConfigurationError(f"non power-of-two extent {extent}")
-        self._free_block(extent.start, extent.length.bit_length() - 1)
+        self.store.release(extent.start, extent.length)
 
     # -- Koch's nightly reallocator (extension; excluded from the paper's
     # -- measurements, provided for the ablation) --------------------------------
@@ -231,14 +175,13 @@ class BinaryBuddyAllocator(Allocator):
             new_extents: list[Extent] = []
             try:
                 for size in sizes:
-                    start = self._allocate_block(size.bit_length() - 1)
-                    new_extents.append(Extent(start, size))
+                    new_extents.append(Extent(self._take(size), size))
             except DiskFullError:
                 for extent in new_extents:
-                    self._free_block(extent.start, extent.length.bit_length() - 1)
+                    self.store.release(extent.start, extent.length)
                 continue  # no room to reshape this file tonight
             for extent in old_extents:
-                self._free_block(extent.start, extent.length.bit_length() - 1)
+                self.store.release(extent.start, extent.length)
             handle.extents[:] = new_extents
             handle.ends[:] = accumulate(sizes)
             self._allocated_units += handle.allocated_units - old_units
@@ -247,33 +190,33 @@ class BinaryBuddyAllocator(Allocator):
 
     # -- introspection ----------------------------------------------------------
 
-    def free_block_counts(self) -> dict[int, int]:
-        """Free blocks per order (order -> count), orders with any blocks."""
-        return {
-            order: len(addresses)
-            for order, addresses in sorted(self._free_by_order.items())
-            if len(addresses)
-        }
-
     def snapshot_free_state(self) -> dict:
-        """Free blocks per order, sorted by address (fingerprint hook)."""
+        """Free blocks per order, sorted by address (fingerprint hook).
+
+        Rendered from the ladder store's snapshot as ``{order:
+        addresses}``, orders ascending, so fingerprint timelines stay
+        comparable with the per-order free lists this policy once kept.
+        """
+        store = self.store.snapshot()
+        free_by_order = {
+            str(int(size).bit_length() - 1): addresses
+            for size, addresses in store["lists"].items()
+        }
+        max_size = self.store.max_size
+        if store["max_slots"]:
+            free_by_order[str(max_size.bit_length() - 1)] = [
+                slot * max_size for slot in store["max_slots"]
+            ]
         return {
             "allocated_units": self._allocated_units,
-            "free_by_order": {
-                str(order): list(addresses)
-                for order, addresses in sorted(self._free_by_order.items())
-                if len(addresses)
-            },
+            "free_by_order": free_by_order,
         }
 
     def check_free_space(self) -> None:
-        """Validate accounting: free-list units + allocated == capacity."""
-        free = sum(
-            len(addresses) << order
-            for order, addresses in self._free_by_order.items()
-        )
-        if free != self.free_units:
+        """Validate store invariants and unit accounting (test hook)."""
+        self.store.check_invariants()
+        if self.store.free_units != self.free_units:
             raise ConfigurationError(
-                f"buddy free lists hold {free} units, accounting says "
-                f"{self.free_units}"
+                f"buddy free lists hold {self.store.free_units} units, "
+                f"accounting says {self.free_units}"
             )

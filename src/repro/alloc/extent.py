@@ -161,16 +161,6 @@ class ExtentAllocator(Allocator):
 
     # -- introspection ----------------------------------------------------------
 
-    @property
-    def hole_count(self) -> int:
-        """Number of free holes (external-fragmentation texture)."""
-        return self._free.fragment_count
-
-    @property
-    def largest_hole_units(self) -> int:
-        """Largest single free hole."""
-        return self._free.largest_free()
-
     def snapshot_free_state(self) -> dict:
         """Free holes in address order (fingerprint hook)."""
         return {

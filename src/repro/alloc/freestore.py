@@ -1,4 +1,4 @@
-"""Free-space management for the restricted buddy policy (§4.2).
+"""Free-space management for both buddy policies (§4.1 and §4.2).
 
 "Free space is managed both by bit maps and free lists.  A bit map is used
 to record the state (free or used) of every maximum sized block in the
@@ -17,17 +17,23 @@ maintains per-region, per-size free-block counts so the restricted
 policy's region ring scans skip empty regions in O(1) instead of
 bisecting into every region.
 
+The restricted buddy policy runs it over its configured ladder with
+regions.  Koch's binary buddy policy (:mod:`repro.alloc.buddy`) runs it
+over the ladder 1, 2, 4, …, 2**k with no regions: a binary buddy system
+is a restricted one whose sizes are every power of two.
+
 Allocation goes through two find-and-take methods and nothing else:
 :meth:`~LadderFreeStore.take_run_in_region` takes a run of exact-size
 blocks, and :meth:`~LadderFreeStore.take_split_in_region` probes each
 larger rung through it and splits the block it takes.
 
-Every allocation decision is bit-identical to the pre-rewrite circular
-DLL + dict + bisect-index triple, kept as a test oracle in
-``tests/oracles/reference.py`` rather than in the shipped package; the
-differential property tests in ``tests/alloc/test_differential.py`` drive
-both through identical operation sequences and require identical answers
-and snapshots at every step.
+Every allocation decision is bit-identical to two retained oracles: the
+pre-rewrite circular DLL + dict + bisect-index triple
+(``tests/oracles/reference.py``) and Koch's per-order free lists with
+their XOR coalescing walk (``tests/oracles/buddy.py``).  The
+differential property tests in ``tests/alloc/test_differential.py``
+drive the store and each oracle through identical operation sequences
+and require identical answers and snapshots at every step.
 """
 
 from __future__ import annotations
@@ -241,30 +247,31 @@ class LadderFreeStore:
             self._free_slots -= taken
         else:
             items = self._lists[size]
-            n_items = len(items)
-            index = -1
-            if prefer is not None:
-                probe = bisect_left(items, prefer if prefer >= low else low)
-                if probe < n_items and items[probe] < high:
-                    index = probe
-            if index < 0:
-                probe = bisect_left(items, low)
-                if probe < n_items and items[probe] < high:
-                    index = probe
-                else:
+            if not items:
+                return None
+            key = low if prefer is None or prefer < low else prefer
+            index = bisect_left(items, key)
+            if index == len(items) or items[index] >= high:
+                if key == low:
+                    return None
+                index = bisect_left(items, low)
+                if index == len(items) or items[index] >= high:
                     return None
             start = items[index]
-            taken = 1
-            expected = start + size
-            limit = max_blocks if max_blocks < n_items - index else n_items - index
-            while (
-                taken < limit
-                and expected < high
-                and items[index + taken] == expected
-            ):
-                taken += 1
-                expected += size
-            del items[index:index + taken]
+            if max_blocks == 1:
+                # A one-block take (descriptors, split probes, ring steps)
+                # skips the run scan and its slice delete.
+                del items[index]
+                taken = 1
+            else:
+                end = index + 1
+                stop = min(index + max_blocks, len(items))
+                expected = start + size
+                while end < stop and expected < high and items[end] == expected:
+                    end += 1
+                    expected += size
+                del items[index:end]
+                taken = end - index
         counts = self._region_counts
         if counts is not None:
             region_units = self.region_units
@@ -288,39 +295,52 @@ class LadderFreeStore:
         :meth:`take_run_in_region`, so the split favours the block at
         ``prefer`` (the paper's "next sequential block").  The first hit
         is split: its leading ``size`` piece is returned and the unused
-        siblings are spliced onto the smaller lists, one slice per rung
+        siblings are spliced onto the smaller lists, one splice per rung
         (no coalescing needed: their siblings are what was just taken).
+        Rungs with no free block at all are skipped without a probe.
         Returns the allocated address, or None when no larger block
         exists in range.
         """
         sizes = self.sizes
-        counts = self._region_counts
+        lists = self._lists
+        last = len(sizes) - 1
         start_index = self._size_index[size] + 1
-        for larger_index in range(start_index, len(sizes)):
-            hit = self.take_run_in_region(sizes[larger_index], low, high, prefer, 1)
+        for larger_index in range(start_index, last + 1):
+            larger = sizes[larger_index]
+            # An empty rung holds no block in any window: skip its probe.
+            if not (lists[larger] if larger_index < last else self._free_slots):
+                continue
+            hit = self.take_run_in_region(larger, low, high, prefer, 1)
             if hit is None:
                 continue
             address = hit[0]
+            counts = self._region_counts
             for level in range(larger_index, start_index - 1, -1):
                 child = sizes[level - 1]
-                count = sizes[level] // child - 1
                 run_start = address + child
                 span_end = address + sizes[level]
-                items = self._lists[child]
+                items = lists[child]
                 probe = bisect_left(items, run_start)
                 if probe < len(items) and items[probe] < span_end:
                     raise SimulationError(f"block {items[probe]} already free")
-                items[probe:probe] = range(run_start, span_end, child)
+                if span_end - run_start == child:
+                    # A lone sibling: one insert, where building a
+                    # one-member range to splice costs several times more.
+                    items.insert(probe, run_start)
+                else:
+                    items[probe:probe] = range(run_start, span_end, child)
                 if counts is not None:
                     region_units = self.region_units
                     first = run_start // region_units
                     row = counts[level - 1]
                     if first == (span_end - child) // region_units:
-                        row[first] += count
+                        row[first] += sizes[level] // child - 1
                     else:
                         for member in range(run_start, span_end, child):
                             row[member // region_units] += 1
-                self._free_units += child * count
+            # The take charged the whole larger block; all but ``size``
+            # of it went back onto the smaller lists.
+            self._free_units += larger - size
             return address
         return None
 
@@ -369,6 +389,7 @@ class LadderFreeStore:
             return
         released_units = size  # net change: coalesced siblings were already free
         capacity = self.capacity_units
+        lists = self._lists
         index = self._size_index[size]
         insert_at = 0
         while size != max_size:
@@ -382,7 +403,7 @@ class LadderFreeStore:
             # starting at group_start, above it exactly m entries ending
             # at group_end - size — pigeonhole then forces them to be
             # precisely the k + m = ratio - 1 siblings.
-            items = self._lists[size]
+            items = lists[size]
             n_items = len(items)
             insert_at = bisect_left(items, address)
             if insert_at < n_items and items[insert_at] == address:
@@ -436,7 +457,7 @@ class LadderFreeStore:
             if counts is not None:
                 counts[-1][address // self.region_units] += 1
         else:
-            self._lists[size].insert(insert_at, address)
+            lists[size].insert(insert_at, address)
             if counts is not None:
                 counts[index][address // self.region_units] += 1
         self._free_units += released_units
@@ -450,9 +471,17 @@ class LadderFreeStore:
         The suffix of the old full pre-scan: :meth:`release` calls this
         only when a rung's sibling span is empty, the one case where the
         coalescing walk itself cannot rule out a free covering block.
+
+        The scan stops at the first rung whose list holds a free block in
+        the covering block's sibling group: free blocks are disjoint, and
+        a free block at a larger size would contain that whole group, so
+        none can exist.  Detection is unchanged; a release whose buddy is
+        busy no longer bisects every rung up to the bitmap.
         """
+        sizes = self.sizes
         max_size = self.max_size
-        for candidate in self.sizes[start_index:]:
+        for index in range(start_index, len(sizes)):
+            candidate = sizes[index]
             covering = address - (address % candidate)
             if candidate == max_size:
                 slot = covering // max_size
@@ -461,14 +490,20 @@ class LadderFreeStore:
                         f"double free: [{address}, {address + size}) lies in "
                         f"free maximum block at {covering}"
                     )
-            else:
-                items = self._lists[candidate]
-                probe = bisect_left(items, covering)
-                if probe < len(items) and items[probe] == covering:
-                    raise SimulationError(
-                        f"double free: [{address}, {address + size}) lies in "
-                        f"free {candidate}-block at {covering}"
-                    )
+                return
+            items = self._lists[candidate]
+            probe = bisect_left(items, covering)
+            if probe < len(items) and items[probe] == covering:
+                raise SimulationError(
+                    f"double free: [{address}, {address + size}) lies in "
+                    f"free {candidate}-block at {covering}"
+                )
+            parent = sizes[index + 1]
+            group_start = covering - (covering % parent)
+            if (probe and items[probe - 1] >= group_start) or (
+                probe < len(items) and items[probe] < group_start + parent
+            ):
+                return  # a free sibling: nothing larger covers the group
 
     # -- validation -----------------------------------------------------------
 

@@ -80,11 +80,6 @@ class LogStructuredAllocator(Allocator):
 
     # -- introspection ----------------------------------------------------------
 
-    @property
-    def hole_count(self) -> int:
-        """Number of free holes threaded by the log."""
-        return self._free.fragment_count
-
     def snapshot_free_state(self) -> dict:
         """Log head plus free holes in address order (fingerprint hook)."""
         return {

@@ -315,22 +315,6 @@ class RestrictedBuddyAllocator(Allocator):
 
     # -- introspection ----------------------------------------------------------
 
-    def contiguity_fraction(self) -> float:
-        """Fraction of inter-block transitions that are contiguous.
-
-        A direct measure of how well "the allocator attempts to allocate
-        logically sequential blocks of a file to physically contiguous
-        regions" is succeeding.
-        """
-        contiguous = 0
-        transitions = 0
-        for handle in self.files.values():
-            for previous, current in zip(handle.extents, handle.extents[1:]):
-                transitions += 1
-                if previous.end == current.start:
-                    contiguous += 1
-        return contiguous / transitions if transitions else 1.0
-
     def snapshot_free_state(self) -> dict:
         """Ladder-store bitmap and free lists (fingerprint hook)."""
         return {

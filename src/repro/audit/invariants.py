@@ -9,8 +9,8 @@ zero-overhead path), and on a configurable executed-event cadence plus
 at freeze it sweeps a registry of per-subsystem checks:
 
 * **alloc** — conservation (free + allocated + unaddressable == total)
-  and no-overlap, per policy (buddy orders, extent/LFS interval maps,
-  the restricted ladder store, the fixed free list).
+  and no-overlap, per policy (the ladder store of both buddy policies,
+  extent/LFS interval maps, the fixed free list).
 * **fs** — every live file's cumulative extent index agrees with its
   extents and covers its logical length; no dangling handles.
 * **disk** — per-drive accounting (enqueued == served + queued +

@@ -405,12 +405,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(f"{name:12s} {row['calls']:>14,d} {seconds:>10.3f} {share:>7.1%}")
     print(f"{'total':12s} {stats.total_calls:>14,d} {total_s:>10.3f}")
     print()
-    limit = args.limit if args.limit is not None else args.top
     label = (
         "internal time" if args.sort == "tottime" else "cumulative time"
     )
-    print(f"-- cProfile: top {limit} functions by {label} --")
-    stats.sort_stats(args.sort).print_stats(limit)
+    print(f"-- cProfile: top {args.limit} functions by {label} --")
+    stats.sort_stats(args.sort).print_stats(args.limit)
     print(stream.getvalue().rstrip())
     return 0
 
@@ -737,11 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="tottime",
                          help="cProfile ordering: internal (tottime) or "
                               "cumulative (cumtime) time")
-    profile.add_argument("--limit", type=int, default=None,
-                         help="how many functions to print "
-                              "(preferred spelling of --top)")
-    profile.add_argument("--top", type=int, default=12,
-                         help="cProfile rows to print")
+    profile.add_argument("--limit", type=int, default=12,
+                         help="how many functions to print")
     profile.add_argument("--json", action="store_true",
                          help="print engine counters and the per-package "
                               "breakdown as JSON (no cProfile text)")

@@ -366,8 +366,8 @@ class Simulator:
         popped = 0
         try:
             while not self._stopped:
-                # -- fused "what fires next" (mirrors EventHeap.pop_next;
-                #    keep the two in sync) --------------------------------
+                # -- "what fires next": drop cancelled fronts, then take
+                #    the lower (time, seq) of the two queue heads ---------
                 while immediate and immediate[0].cancelled:
                     immediate.popleft()
                 while heap_list and heap_list[0][2].cancelled:

@@ -10,17 +10,21 @@ matters):
 
 * The heap stores ``(time, seq, event)`` tuples, not :class:`Event`
   objects.  ``seq`` is unique, so heap comparisons always resolve on the
-  first two tuple slots in C — ``Event.__lt__`` is kept for API
-  compatibility but never called by the heap.
+  first two tuple slots in C and never compare events.
 * Zero-delay events (waitable resumptions, already-done yields) go through
   a FIFO *immediate queue* instead of the heap.  Every immediate event
   carries the current simulated time and a globally increasing ``seq``, so
   merging the queue front with the heap head by ``(time, seq)`` reproduces
   exactly the order a single heap would produce — see
   ``docs/MODEL.md`` ("Engine hot path and determinism guarantees").
-* Cancelled events are discarded lazily: entries at the front are dropped
-  during ``pop``/``peek``, and when mid-heap garbage passes a threshold the
-  heap is compacted in one O(n) pass (``compactions`` counts these).
+* Cancelled events are discarded lazily: the engine's run loop drops
+  entries at the queue fronts, and when mid-heap garbage passes a
+  threshold the heap is compacted in one O(n) pass (``compactions``
+  counts these).
+
+Popping is not done here: :meth:`repro.sim.engine.Simulator.run` reads
+both queues directly and merges their heads by ``(time, seq)``, the
+engine's one "what fires next".
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class Event:
     """A scheduled callback.
 
     Events are created through :meth:`repro.sim.engine.Simulator.schedule`
-    and compare by scheduled time (ties broken by creation order).  A
+    and fire by scheduled time (ties broken by creation order).  A
     cancelled event stays in its queue but is skipped when popped.
     """
 
@@ -66,9 +70,6 @@ class Event:
         """Mark the event so the engine discards it instead of firing it."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
         name = getattr(self.callback, "__name__", repr(self.callback))
@@ -80,8 +81,8 @@ class EventHeap:
 
     ``push`` inserts a timer event into the heap; ``push_immediate``
     appends a zero-delay event (at the caller's *current* time) to the
-    FIFO.  ``pop_next`` merges the two by ``(time, seq)``, which is the
-    engine's single fused "what fires next" operation.
+    FIFO.  :meth:`repro.sim.engine.Simulator.run` merges the two by
+    ``(time, seq)``.
     """
 
     def __init__(self) -> None:
@@ -120,7 +121,7 @@ class EventHeap:
         """Append a zero-delay event at time ``now`` to the immediate FIFO.
 
         ``now`` must be the engine's current clock: the determinism of the
-        merge in :meth:`pop_next` relies on every queued immediate event
+        run loop's merge relies on every queued immediate event
         sharing the current time and carrying a larger ``seq`` than any
         event created before it.
         """
@@ -137,77 +138,6 @@ class EventHeap:
         self._immediate.append(event)
         return event
 
-    # -- retrieval ----------------------------------------------------------
-
-    def pop_next(self, until: float | None = None) -> Event | None:
-        """Remove and return the next live event in ``(time, seq)`` order.
-
-        Returns None when no live event remains, or when the next one is
-        scheduled strictly after ``until`` (that event stays queued).  This
-        fuses the engine's former ``peek_time()`` + ``pop()`` pair into a
-        single pass over the queue heads.
-        """
-        heap = self._heap
-        immediate = self._immediate
-        while immediate and immediate[0].cancelled:
-            immediate.popleft()
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._garbage -= 1
-        if immediate:
-            front = immediate[0]
-            if heap:
-                head_time, head_seq, head_event = heap[0]
-                if head_time < front.time or (
-                    head_time == front.time and head_seq < front.seq
-                ):
-                    if until is not None and head_time > until:
-                        return None
-                    heapq.heappop(heap)
-                    self._live -= 1
-                    return head_event
-            if until is not None and front.time > until:
-                return None
-            immediate.popleft()
-            self._live -= 1
-            return front
-        if not heap:
-            return None
-        if until is not None and heap[0][0] > until:
-            return None
-        event = heapq.heappop(heap)[2]
-        self._live -= 1
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises:
-            SimulationError: when no live events remain.
-        """
-        event = self.pop_next()
-        if event is None:
-            raise SimulationError("pop from empty event heap")
-        return event
-
-    def peek_time(self) -> float | None:
-        """Return the time of the next live event, or None when empty."""
-        heap = self._heap
-        immediate = self._immediate
-        while immediate and immediate[0].cancelled:
-            immediate.popleft()
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._garbage -= 1
-        if immediate:
-            front = immediate[0]
-            if heap and heap[0][0] < front.time:
-                return heap[0][0]
-            return front.time
-        if not heap:
-            return None
-        return heap[0][0]
-
     def live_events(self) -> list[Event]:
         """Snapshot every live (non-cancelled) event in firing order.
 
@@ -223,19 +153,18 @@ class EventHeap:
 
     # -- cancellation bookkeeping ------------------------------------------
 
-    def note_cancelled(self, event: Event | None = None) -> None:
-        """Record that one previously pushed event was cancelled.
+    def note_cancelled(self, event: Event) -> None:
+        """Record that one previously pushed ``event`` was cancelled.
 
         The engine calls this when it cancels an event so that ``len`` and
-        emptiness checks stay accurate without an O(n) heap scan.  Passing
-        the event lets the heap attribute the garbage correctly (immediate
-        events are purged FIFO and never accumulate mid-heap); calling with
-        no argument conservatively counts it as heap garbage.
+        emptiness checks stay accurate without an O(n) heap scan.  Only a
+        timer event counts as heap garbage: immediate events are purged
+        FIFO and never accumulate mid-heap.
         """
         if self._live <= 0:
             raise SimulationError("cancellation bookkeeping underflow")
         self._live -= 1
-        if event is None or not event.immediate:
+        if not event.immediate:
             self._garbage += 1
             if (
                 self._garbage >= COMPACTION_MIN_GARBAGE

@@ -82,24 +82,6 @@ class SortedAddresses:
             items.__getitem__, range(bisect_right(items, address), len(items))
         )
 
-    def discard(self, address: int) -> bool:
-        """Remove ``address`` if present; return whether it was.
-
-        One bisect for the membership test *and* the removal — the buddy
-        coalescing walk's "is my buddy free, and if so take it" step.
-        """
-        index = bisect_left(self._items, address)
-        if index < len(self._items) and self._items[index] == address:
-            del self._items[index]
-            return True
-        return False
-
-    def pop_first(self) -> int | None:
-        """Remove and return the smallest member, or None when empty."""
-        if not self._items:
-            return None
-        return self._items.pop(0)
-
     def successor(self, address: int) -> int | None:
         """Smallest member >= ``address``, or None."""
         index = bisect_left(self._items, address)

@@ -81,26 +81,33 @@ class TestFreeSpace:
         assert allocator.free_units == capacity
         allocator.check_free_space()
 
+    @staticmethod
+    def free_by_order(allocator):
+        return allocator.snapshot_free_state()["free_by_order"]
+
     def test_coalescing_rebuilds_large_blocks(self):
         allocator = BinaryBuddyAllocator(1 << 12)
+        store = allocator.store
         # Split the whole space into two 2048 halves, then free both:
         # the buddy rule must knit the original 4096 block back together.
-        low = allocator._allocate_block(11)
-        high = allocator._allocate_block(11)
-        assert {low, high} == {0, 2048}
-        allocator._free_block(low, 11)
-        assert allocator.free_block_counts() == {11: 1}
-        allocator._free_block(high, 11)
-        assert allocator.free_block_counts() == {12: 1}
+        low = store.take_split_in_region(2048, 0, 4096)
+        high, _ = store.take_run_in_region(2048, 0, 4096, None, 1)
+        assert (low, high) == (0, 2048)
+        store.release(low, 2048)
+        assert self.free_by_order(allocator) == {"11": [0]}
+        store.release(high, 2048)
+        assert self.free_by_order(allocator) == {"12": [0]}
 
     def test_no_coalescing_while_buddy_in_use(self):
         allocator = BinaryBuddyAllocator(1 << 12)
-        low = allocator._allocate_block(11)
-        high = allocator._allocate_block(11)
-        allocator._free_block(high, 11)
+        store = allocator.store
+        low = store.take_split_in_region(2048, 0, 4096)
+        high, _ = store.take_run_in_region(2048, 0, 4096, None, 1)
+        store.release(high, 2048)
         # Low half still allocated: the free half must stay at order 11.
-        assert allocator.free_block_counts() == {11: 1}
-        allocator._free_block(low, 11)
+        assert self.free_by_order(allocator) == {"11": [2048]}
+        store.release(low, 2048)
+        assert self.free_by_order(allocator) == {"12": [0]}
 
     def test_disk_full_reports_free(self):
         allocator = BinaryBuddyAllocator(64)
@@ -124,17 +131,32 @@ class TestFreeSpace:
 
     def test_buddy_of_respects_segments(self):
         allocator = BinaryBuddyAllocator(96)  # segments: 64@0, 32@64
-        # A 32-unit block at 64 is a whole segment: no buddy.
-        assert allocator._buddy_of(64, 5) is None
-        # A 32-unit block at 0 buddies with 32.
-        assert allocator._buddy_of(0, 5) == 32
+        store = allocator.store
+        assert self.free_by_order(allocator) == {"5": [64], "6": [0]}
+        # A 32-unit block at 64 is a whole segment: freed, it has no
+        # buddy, even though a free 64-block sits right before it.
+        tail, _ = store.take_run_in_region(32, 0, 96, None, 1)
+        assert tail == 64
+        store.release(tail, 32)
+        assert self.free_by_order(allocator) == {"5": [64], "6": [0]}
+        # A 32-unit block at 0 buddies with the one at 32.
+        low = store.take_split_in_region(32, 0, 96)
+        assert (low, self.free_by_order(allocator)) == (0, {"5": [32, 64]})
+        store.release(low, 32)
+        assert self.free_by_order(allocator) == {"5": [64], "6": [0]}
 
     def test_free_block_counts(self):
         allocator = BinaryBuddyAllocator(64)
-        assert allocator.free_block_counts() == {6: 1}
-        handle = allocator.create()
-        counts = allocator.free_block_counts()
-        assert sum(n << order for order, n in counts.items()) == 63
+        assert self.free_by_order(allocator) == {"6": [0]}
+        allocator.create()  # a one-unit descriptor splits the 64-block
+        free_by_order = self.free_by_order(allocator)
+        assert free_by_order == {
+            str(order): [1 << order] for order in range(6)
+        }
+        assert sum(
+            len(addresses) << int(order)
+            for order, addresses in free_by_order.items()
+        ) == 63
 
 
 @given(

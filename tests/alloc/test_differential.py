@@ -10,6 +10,10 @@ the decisions the originals made:
    randomized run-take/split/release sequences, through the same
    ``take_run_in_region`` and ``take_split_in_region`` calls the
    restricted policy makes, with ``check_invariants`` run along the way.
+   The binary buddy policy's power-of-two ladder store is driven the
+   same way against :class:`ReferenceBuddyStore` (Koch's per-order free
+   lists, segment cover and XOR coalescing walk, in
+   ``tests.oracles.buddy``), comparing ``free_by_order`` snapshots.
 
 2. **Policy level** — a :class:`RestrictedBuddyAllocator` backed by the
    production store and one backed by the reference store are driven
@@ -34,7 +38,9 @@ from repro import (
     LogStructuredPolicy,
     RestrictedPolicy,
 )
+from repro.alloc.buddy import BinaryBuddyAllocator
 from repro.alloc.freestore import LadderFreeStore
+from tests.oracles.buddy import ReferenceBuddyStore
 from tests.oracles.reference import ReferenceLadderFreeStore
 from repro.alloc.restricted import (
     RestrictedBuddyAllocator,
@@ -142,6 +148,62 @@ def test_store_rejects_double_free_like_reference():
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
     assert "double free" in messages[0]
+
+
+# Capacities a power of two, one off either side of one, and neither
+# (two, three and many segments in the reference cover).
+BUDDY_CAPACITIES = [96, 1000, 1023, 1024, 1025, 4097]
+
+
+@pytest.mark.parametrize("capacity", BUDDY_CAPACITIES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_buddy_store_matches_reference(capacity, seed):
+    """The binary buddy's ladder store against Koch's per-order lists.
+
+    Exact takes, splits and releases in random order, through the same
+    store calls the allocator makes; addresses and ``free_by_order``
+    snapshots must agree after every step.
+    """
+    rng = random.Random(seed)
+    allocator = BinaryBuddyAllocator(capacity)
+    store = allocator.store
+    ref = ReferenceBuddyStore(capacity)
+    assert store.max_size == 1 << ref.max_order
+
+    def free_by_order():
+        return allocator.snapshot_free_state()["free_by_order"]
+
+    assert free_by_order() == ref.free_by_order()
+    held: list[tuple[int, int]] = []  # (address, order)
+    for step in range(1_200):
+        roll = rng.random()
+        # Small orders dominate, as in a file system; large ones still
+        # come often enough to drain the top of the ladder.
+        order = min(int(rng.expovariate(0.5)), ref.max_order)
+        if roll < 0.3:
+            run = store.take_run_in_region(1 << order, 0, capacity, None, 1)
+            address = None if run is None else run[0]
+            assert address == ref.take_exact(order)
+        elif roll < 0.6 or not held:
+            address = store.take_split_in_region(1 << order, 0, capacity)
+            assert address == ref.take_split(order)
+        else:
+            address = None
+            released, order = held.pop(rng.randrange(len(held)))
+            store.release(released, 1 << order)
+            ref.release(released, order)
+        if address is not None:
+            held.append((address, order))
+        assert store.free_units == ref.free_units
+        assert free_by_order() == ref.free_by_order()
+        if step % 50 == 0:
+            store.check_invariants()
+    for address, order in held:
+        store.release(address, 1 << order)
+        ref.release(address, order)
+    assert free_by_order() == ref.free_by_order()
+    assert store.free_units == capacity
+    store.check_invariants()
 
 
 # ---------------------------------------------------------------------------

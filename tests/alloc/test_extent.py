@@ -115,8 +115,7 @@ class TestCoalescing:
         for handle in handles:
             allocator.delete(handle)
         assert allocator.free_units == 10_000
-        assert allocator.hole_count == 1
-        assert allocator.largest_hole_units == 10_000
+        assert allocator.snapshot_free_state()["holes"] == [[0, 10_000]]
 
     def test_truncate_returns_tail_extents(self):
         allocator = make(means=(100,), seed=5)
@@ -167,4 +166,4 @@ def test_property_extent_allocator_invariants(actions, fit):
     for handle in live:
         allocator.delete(handle)
     assert allocator.free_units == 20_000
-    assert allocator.hole_count == 1
+    assert len(allocator.snapshot_free_state()["holes"]) == 1

@@ -134,6 +134,25 @@ class TestReleaseCoalescing:
         with pytest.raises(SimulationError):
             store.release(0, 8)
 
+    def test_double_free_found_above_rungs_with_free_blocks(self):
+        """The covering scan stops only at a free block inside the
+        covering block's sibling group, never at one elsewhere."""
+        store = LadderFreeStore(64, (1, 2, 4, 8, 16, 32, 64))
+        assert store.take_split_in_region(1, 0, 64) == 0
+        assert store.take_run_in_region(32, 0, 64, None, 1) == (32, 1)
+        store.release(32, 32)
+        assert store.snapshot()["lists"] == {
+            "1": [1], "2": [2], "4": [4], "8": [8], "16": [16], "32": [32]
+        }
+        # [40, 48) lies in the free 32-block at 32; rungs 8 and 16 hold
+        # free blocks, but outside that block's group.
+        with pytest.raises(SimulationError, match="free 32-block at 32"):
+            store.release(40, 8)
+        # A busy buddy with a free sibling one rung up is a valid release.
+        assert store.take_run_in_region(8, 0, 64, None, 1) == (8, 1)
+        store.release(8, 8)
+        store.check_invariants()
+
 
 @given(
     script=st.lists(

@@ -83,7 +83,7 @@ class TestChurnBehaviour:
         for handle in handles:
             allocator.delete(handle)
         assert allocator.free_units == 5_000
-        assert allocator.hole_count == 1
+        assert len(allocator.snapshot_free_state()["holes"]) == 1
 
     def test_writes_stay_contiguous_under_churn(self):
         """The LFS selling point: new files are contiguous even after

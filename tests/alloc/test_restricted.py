@@ -101,7 +101,9 @@ class TestContiguity:
         allocator.extend(handle, 72)
         # All transitions within a tier are contiguous; only tier changes
         # may break (the Figure 3 effect).
-        assert allocator.contiguity_fraction() >= 14 / 15
+        transitions = list(zip(handle.extents, handle.extents[1:]))
+        contiguous = sum(a.end == b.start for a, b in transitions)
+        assert contiguous >= len(transitions) * 14 / 15
 
     def test_alignment_invariant(self):
         allocator = make()

@@ -230,7 +230,7 @@ EXPECTED_OPTIONS = {
     "compare": {**SPEC, **RUNNER, "--cap-ms": 40_000.0},
     "profile": {
         **SPEC, **POLICY, "--cap-ms": 20_000.0, "--sort": "tottime",
-        "--limit": None, "--top": 12, "--json": False,
+        "--limit": 12, "--json": False,
     },
     "trace": {
         **SPEC, **POLICY, **RUNNER, **NO_FAULTS, "--cap-ms": 8_000.0,
