@@ -13,6 +13,7 @@ import time
 from typing import Any, Callable
 
 from repro.alloc.base import Allocator
+from repro.core.comparison import selected_policies
 from repro.core.configs import (
     BuddyPolicy,
     ExperimentConfig,
@@ -27,8 +28,11 @@ from repro.disk.drive import DiskDrive
 from repro.disk.geometry import WREN_IV
 from repro.disk.request import DiskRequest, IoKind
 from repro.errors import DiskFullError
+from repro.fs.filesystem import FileSystem
 from repro.sim.engine import Simulator, Waitable
 from repro.sim.rng import RandomStream
+from repro.workload import sample_initial_size
+from repro.workload.profiles import time_sharing
 
 #: 1K disk units over a 64 M address space for the allocator churn.
 _ALLOC_CAPACITY_UNITS = 65_536
@@ -213,6 +217,77 @@ def bench_alloc_churn(scale: float = 1.0, repeats: int = 3) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# alloc_populate — the allocator's chunked growth at populate time
+# ---------------------------------------------------------------------------
+
+#: System scale and fill of the populated file system: every policy,
+#: the buddy's doubling included, lays the whole population out.
+_POPULATE_SYSTEM_SCALE = 0.05
+_POPULATE_FILL = 0.4
+
+
+def bench_alloc_populate(scale: float = 1.0, repeats: int = 3) -> dict[str, Any]:
+    """``FileSystem.allocate_to`` with the TS populate steps, four policies.
+
+    Grows fresh files to TS initial sizes (8K small files in 2K
+    requests, 96K large files in 8K requests: the steps the workload
+    driver passes) on each of Figure 6's four TS policies, and reports
+    files grown per second.  File creation and the size draws stay
+    outside the timed region.  ``scale`` trims the share of the
+    population grown.
+    """
+    system = SystemConfig(scale=_POPULATE_SYSTEM_SCALE)
+    profile = time_sharing(system.capacity_bytes, fill_fraction=_POPULATE_FILL)
+    rng = RandomStream(17, "micro-populate")
+    plan = [
+        (file_type, sample_initial_size(rng, file_type))
+        for file_type in profile.types
+        for _ in range(file_type.n_files)
+    ]
+    rng.shuffle(plan)
+    plan = plan[: max(40, int(len(plan) * scale))]
+
+    def run() -> tuple[int, float]:
+        elapsed = 0.0
+        grown = 0
+        for policy in selected_policies("TS"):
+            sim = Simulator()
+            array = system.build_array(sim)
+            allocator = policy.build(
+                array.capacity_units,
+                system.disk_unit_bytes,
+                RandomStream(17, "micro-populate-policy"),
+            )
+            fs = FileSystem(sim, array, allocator)
+            jobs = [
+                (
+                    fs.create(
+                        size_hint_bytes=file_type.allocation_size_bytes,
+                        tag=file_type.name,
+                    ),
+                    size,
+                    file_type.allocation_size_bytes,
+                )
+                for file_type, size in plan
+            ]
+            allocate_to = fs.allocate_to
+            start = time.perf_counter()
+            for fs_file, size, step in jobs:
+                allocate_to(fs_file, size, step)
+            elapsed += time.perf_counter() - start
+            grown += len(jobs)
+        return grown, elapsed
+
+    count, seconds = _best_of(repeats, run)
+    return {
+        "metric": "files_per_sec",
+        "value": count / seconds,
+        "work": count,
+        "best_s": seconds,
+    }
+
+
+# ---------------------------------------------------------------------------
 # experiment_point — end-to-end application-phase experiment
 # ---------------------------------------------------------------------------
 
@@ -305,6 +380,7 @@ BENCHMARKS: dict[str, Callable[[float, int], dict[str, Any]]] = {
     "engine_loop": bench_engine_loop,
     "disk_service": bench_disk_service,
     "alloc_churn": bench_alloc_churn,
+    "alloc_populate": bench_alloc_populate,
     **{name: _make_policy_bench(policy)
        for name, policy in _CHURN_POLICIES.items()},
     "experiment_point": bench_experiment_point,

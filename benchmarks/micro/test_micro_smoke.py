@@ -21,6 +21,7 @@ def test_registry_names():
         "alloc_churn_extent",
         "alloc_churn_fixed",
         "alloc_churn_log",
+        "alloc_populate",
         "experiment_point",
         "experiment_point_tp",
         "experiment_point_sc",

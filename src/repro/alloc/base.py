@@ -131,6 +131,12 @@ class Allocator(abc.ABC):
     #: Human-readable policy name (subclasses override).
     name = "abstract"
 
+    #: True when one ``_extend(handle, n, step)`` call returns exactly
+    #: the blocks that the chunk loop's per-chunk calls return, for every
+    #: state.  Such a policy is asked once per growth.  Each policy that
+    #: sets it says why next to it.
+    CHUNK_INVARIANT = False
+
     def __init__(self, capacity_units: int, rng: RandomStream | None = None) -> None:
         if capacity_units <= 0:
             raise FileSystemError(f"capacity must be positive: {capacity_units}")
@@ -192,13 +198,18 @@ class Allocator(abc.ABC):
     ) -> list[Extent]:
         """Grow the file's allocation by at least ``n_units``.
 
-        The one chunk loop: each chunk asks the policy for what is still
-        missing, or for ``step_units`` when that is less (no step: one
-        chunk).  Requests arrive in workload-sized chunks, which matters
-        to policies whose placement depends on request history (the buddy
-        system doubles the file on *each* request).  Every chunk counts
-        as one allocation request, and is recorded on the handle before
-        the next one is asked for.
+        The model is the chunk loop: each chunk asks the policy for what
+        is still missing, or for ``step_units`` when that is less (no
+        step: one chunk).  Requests arrive in workload-sized chunks, which
+        matters to policies whose placement depends on request history
+        (the buddy system doubles the file on *each* request).  Every
+        chunk counts as one allocation request, and is recorded on the
+        handle before the next one is asked for.
+
+        A policy whose ``CHUNK_INVARIANT`` is set is asked once for a
+        growth the step splits into several chunks (see
+        :meth:`_extend_at_once`); its answer is block for block the chunk
+        loop's, and the chunk count is replayed from it.
 
         Returns the extents added (policies may round up — buddy doubles).
 
@@ -213,8 +224,21 @@ class Allocator(abc.ABC):
             raise FileSystemError(f"extend by non-positive size: {n_units}")
         if step_units is not None and step_units <= 0:
             raise FileSystemError(f"non-positive allocation step: {step_units}")
+        first_new = len(handle.extents)
+        if not (
+            step_units is not None
+            and step_units < n_units
+            and self.CHUNK_INVARIANT
+            and self._extend_at_once(handle, n_units, step_units)
+        ):
+            self._extend_chunks(handle, n_units, step_units)
+        return handle.extents[first_new:]
+
+    def _extend_chunks(
+        self, handle: AllocFile, n_units: int, step_units: int | None
+    ) -> None:
+        """The chunk loop: one ``_extend`` call per chunk."""
         extents, ends = handle.extents, handle.ends
-        first_new = len(extents)
         total = ends[-1] if ends else 0
         needed_units = total + n_units
         policy_extend = self._extend
@@ -240,7 +264,68 @@ class Allocator(abc.ABC):
             # Per chunk, not once at the end: a later chunk's disk-full
             # error reports the free space left after this one.
             self._allocated_units += total - before
-        return extents[first_new:]
+
+    def _extend_at_once(
+        self, handle: AllocFile, n_units: int, step_units: int
+    ) -> bool:
+        """One ``_extend`` call for a growth of several ``step_units`` chunks.
+
+        A chunk-invariant policy returns the blocks the chunk loop's calls
+        would have returned, in order.  Each chunk of that loop asks for
+        ``min(step, missing)`` and ends with the first block that covers
+        it, so replaying those boundaries over the blocks gives the
+        chunk count, and so ``allocation_requests``.
+
+        Returns False when the policy raises ``DiskFullError``; the
+        caller then runs the chunk loop, which gives the failure its
+        prefix of whole chunks, its counts and its message.  The replay
+        starts from the entry state because nothing the failed attempt
+        wrote survives:
+
+        * its takes: a failing ``_extend`` returns what it took to the
+          free space, and the free structures hold one layout per free
+          set (coalesced map, coalesced buddy groups, LIFO list with
+          nothing popped);
+        * ``handle.policy_state``: restored here from the entry copy (the
+          restricted policy's rollback re-derives its tier from the
+          surviving extents, which at an exact tier bump differs from
+          the entry tier);
+        * the restricted policy's ``_last_satisfied_region``: ``_extend``
+          reads it only for a file without a descriptor, and the replay's
+          last successful take sets it again.  If the replay takes
+          nothing, its first take failed, and that take is the attempt's
+          first one, so the attempt wrote nothing either;
+        * nothing else: the attempt touches no counter and neither of the
+          handle's lists.
+        """
+        saved_state = dict(handle.policy_state)
+        try:
+            added = self._extend(handle, n_units, step_units)
+        except DiskFullError:
+            state = handle.policy_state
+            state.clear()
+            state.update(saved_state)
+            return False
+        except AllocatorStateError:
+            raise
+        except SimulationError as error:
+            raise self._wrap_state_error("extend", error) from error
+        ends = handle.ends
+        handle.extents += added
+        total = ends[-1] if ends else 0
+        before = chunk_end = total
+        needed_units = total + n_units
+        requests = 0
+        for extent in added:
+            if total >= chunk_end:
+                requests += 1
+                request = needed_units - total
+                chunk_end = total + (step_units if step_units < request else request)
+            total += extent.length
+            ends.append(total)
+        self.allocation_requests += requests
+        self._allocated_units += total - before
+        return True
 
     def truncate(self, handle: AllocFile, n_units: int) -> int:
         """Free whole extents from the tail covering up to ``n_units``.
@@ -325,8 +410,16 @@ class Allocator(abc.ABC):
         """Place the file's one-unit descriptor."""
 
     @abc.abstractmethod
-    def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
-        """Allocate at least ``n_units`` more for the file."""
+    def _extend(
+        self, handle: AllocFile, n_units: int, step_units: int | None = None
+    ) -> list[Extent]:
+        """Allocate at least ``n_units`` more for the file.
+
+        ``step_units`` is given only to a ``CHUNK_INVARIANT`` policy
+        asked for a whole growth in one call; it is the size of each
+        request the chunk loop would have made.  On ``DiskFullError``
+        the free space is left as it was.
+        """
 
     @abc.abstractmethod
     def _release_extent(self, handle: AllocFile, extent: Extent) -> None:

@@ -73,6 +73,11 @@ class BinaryBuddyAllocator(Allocator):
 
     name = "buddy"
 
+    #: Every extent after a file's first is the file's size so far, which
+    #: no chunk boundary changes; only the first extent reads the request,
+    #: and in the chunk loop that is the first chunk, ``min(step, n)``.
+    CHUNK_INVARIANT = True
+
     def __init__(
         self, capacity_units: int, rng: RandomStream | None = None
     ) -> None:
@@ -100,16 +105,21 @@ class BinaryBuddyAllocator(Allocator):
     def _allocate_descriptor(self, handle: AllocFile, size_hint_units: int) -> Extent:
         return Extent(self._take(1), 1)
 
-    def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
+    def _extend(
+        self, handle: AllocFile, n_units: int, step_units: int | None = None
+    ) -> list[Extent]:
         added: list[Extent] = []
         current_total = handle.allocated_units
         max_size = self.store.max_size
+        first_request = n_units
+        if step_units is not None and step_units < n_units:
+            first_request = step_units
         try:
             while n_units > 0:
                 if current_total == 0:
                     # First extent: the smallest power of two holding the
-                    # request (Koch's initial allocation).
-                    size = next_power_of_two(n_units)
+                    # (first) request (Koch's initial allocation).
+                    size = next_power_of_two(first_request)
                 else:
                     # Doubling: the new extent equals the current file size.
                     size = next_power_of_two(current_total)

@@ -89,6 +89,12 @@ class ExtentAllocator(Allocator):
 
     name = "extent"
 
+    #: A file's extents all have its one size, so, as with the fixed-block
+    #: policy's blocks, the chunks of a growth by ``n`` take
+    #: ``ceil(n / size)`` extents in all; ``take_first_fit(size, count)``
+    #: (or ``count`` best-fit takes) returns what ``count`` single takes do.
+    CHUNK_INVARIANT = True
+
     def __init__(
         self,
         capacity_units: int,
@@ -145,7 +151,9 @@ class ExtentAllocator(Allocator):
         start = self._take(1, 1)[0]
         return Extent(start, 1)
 
-    def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
+    def _extend(
+        self, handle: AllocFile, n_units: int, step_units: int | None = None
+    ) -> list[Extent]:
         extent_units = handle.policy_state["extent_units"]
         count = -(-n_units // extent_units)
         return [

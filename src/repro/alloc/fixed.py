@@ -35,6 +35,12 @@ class FixedBlockAllocator(Allocator):
 
     name = "fixed"
 
+    #: A chunk asking for ``r`` of the ``m`` units still missing takes
+    #: ``ceil(r / block) <= ceil(m / block)`` blocks, so the chunks of a
+    #: growth by ``n`` stop at exactly ``ceil(n / block)`` blocks, taken
+    #: in pop order.
+    CHUNK_INVARIANT = True
+
     def __init__(
         self,
         capacity_units: int,
@@ -74,7 +80,9 @@ class FixedBlockAllocator(Allocator):
         start = self._take_block(self.block_units)
         return Extent(start, self.block_units)
 
-    def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
+    def _extend(
+        self, handle: AllocFile, n_units: int, step_units: int | None = None
+    ) -> list[Extent]:
         block_units = self.block_units
         n_blocks = -(-n_units // block_units)
         free = self._free_blocks

@@ -100,6 +100,13 @@ class RestrictedBuddyAllocator(Allocator):
 
     name = "restricted-buddy"
 
+    #: Every block's size and place follow from the tier state and the
+    #: previous block's end, never from the request, and the run cap at
+    #: the request's remainder changes no block: ``take_run_in_region``
+    #: extends a run over adjacent free blocks, which is where the next
+    #: chunk's preferred address points.
+    CHUNK_INVARIANT = True
+
     def __init__(
         self,
         capacity_units: int,
@@ -234,7 +241,9 @@ class RestrictedBuddyAllocator(Allocator):
         handle.policy_state["tier_units"] = 0
         return Extent(address, smallest)
 
-    def _extend(self, handle: AllocFile, n_units: int) -> list[Extent]:
+    def _extend(
+        self, handle: AllocFile, n_units: int, step_units: int | None = None
+    ) -> list[Extent]:
         # The hot loop: tier, tier_units, and prev_end live in locals and
         # are written back once on success.  On failure the rollback
         # recomputes them from the surviving extents (which never include

@@ -42,22 +42,10 @@ class FreeExtentMap:
         """Total free space across all intervals."""
         return self._free_total
 
-    @property
-    def fragment_count(self) -> int:
-        """Number of disjoint free intervals."""
-        return len(self._lengths)
-
     def intervals(self) -> Iterator[tuple[int, int]]:
         """All free ``(start, length)`` intervals in address order."""
         for start in self._starts:
             yield start, self._lengths[start]
-
-    def largest_free(self) -> int:
-        """Length of the largest free interval (0 when nothing is free)."""
-        best = 0
-        for length in self._lengths.values():
-            best = max(best, length)
-        return best
 
     def is_free(self, start: int, length: int) -> bool:
         """True when ``[start, start+length)`` lies inside one free interval."""

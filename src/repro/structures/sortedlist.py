@@ -96,16 +96,6 @@ class SortedAddresses:
             return self._items[index - 1]
         return None
 
-    def first(self) -> int | None:
-        """Smallest member, or None when empty."""
-        return self._items[0] if self._items else None
-
-    def range(self, low: int, high: int) -> list[int]:
-        """Members in ``[low, high)`` in order."""
-        lo = bisect_left(self._items, low)
-        hi = bisect_left(self._items, high)
-        return self._items[lo:hi]
-
 
 class SortedPairs:
     """A sorted multiset of ``(primary, secondary)`` integer pairs.

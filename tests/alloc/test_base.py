@@ -204,6 +204,56 @@ def test_extend_matches_chunk_loop(policy, seed):
     assert partial_failures > 0
 
 
+def test_failed_growth_after_exact_tier_bump_matches_chunk_loop():
+    """A failed one-call growth must not leave its rollback's tier behind.
+
+    Ladder (1, 8), g=1, 10 units: the descriptor and eight 1-unit blocks
+    leave one free 1-unit hole and no 8-unit block, and the eighth block
+    bumps the tier exactly.  Rolling back a failed growth re-derives the
+    tier from the surviving extents (tier 0, 8 units), so a replay from
+    that state would take the hole; the chunk loop fails at once.
+    """
+    policy = RestrictedPolicy(block_sizes=("1K", "8K"), grow_factor=1)
+    new = policy.build(10, KIB, RandomStream(1))
+    old = policy.build(10, KIB, RandomStream(1))
+    handle_new, handle_old = new.create(), old.create()
+    new.extend(handle_new, 8, 1)
+    extend_loop(old, handle_old, 8, 1)
+    assert handle_new.policy_state == {"prev_end": 7, "tier": 1, "tier_units": 0}
+    assert new.free_units == 1
+    message = outcome(lambda: new.extend(handle_new, 2, 1))
+    assert message == outcome(lambda: extend_loop(old, handle_old, 10, 1))
+    assert message == "allocation of 8 units failed with 1 units still free"
+    assert handle_new.policy_state == handle_old.policy_state
+    assert state(new, [handle_new]) == state(old, [handle_old])
+    new.audit_check()
+
+
+@pytest.mark.parametrize("policy", GROW_POLICIES, ids=lambda p: p.label)
+def test_multi_chunk_growth_is_one_policy_call(policy):
+    """A TS-style growth (2-unit steps) is one policy call for the four
+    proven policies and one call per chunk for the log-structured one,
+    with the chunk loop's extents and request count either way."""
+    new = policy.build(GROW_CAPACITY, KIB, RandomStream(3))
+    old = policy.build(GROW_CAPACITY, KIB, RandomStream(3))
+    handle_new, handle_old = new.create(8), old.create(8)
+    calls = []
+    policy_extend = new._extend
+
+    def spy(handle, n_units, *step):
+        calls.append((n_units, *step))
+        return policy_extend(handle, n_units, *step)
+
+    new._extend = spy
+    new.extend(handle_new, 20, 2)
+    extend_loop(old, handle_old, 20, 2)
+    if isinstance(policy, LogStructuredPolicy):
+        assert calls == [(2,)] * 10
+    else:
+        assert calls == [(20, 2)]
+    assert state(new, [handle_new]) == state(old, [handle_old])
+
+
 def test_extend_returns_the_new_tail():
     allocator = FixedBlockAllocator(1000, 4)
     handle = allocator.create()

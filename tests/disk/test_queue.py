@@ -1,5 +1,7 @@
 """Unit tests for the per-drive FCFS queue."""
 
+import random
+
 import pytest
 
 from repro.disk.geometry import WREN_IV
@@ -170,6 +172,76 @@ class TestElevator:
     def test_unknown_discipline_raises(self):
         with pytest.raises(SimulationError):
             QueuedDrive(Simulator(), WREN_IV, discipline="sstf!")
+
+
+def _run_random_requests(discipline, seed):
+    """Submit a random request set; log every dispatch.
+
+    Each log entry is ``(queue, head, chosen)``: the requests waiting
+    at the dispatch in submission order, the head's cylinder before the
+    seek, and the request the drive served.  Arrivals are quantized to
+    5 ms and cylinders drawn from a small pool, so ties in arrival time
+    and in distance are common.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    queued = QueuedDrive(sim, WREN_IV, discipline=discipline)
+    disk = queued.drive
+    service = disk.service
+    waiting, log = [], []
+
+    def spy(request, start_time):
+        log.append((list(waiting), disk.head_cylinder, request))
+        index = next(i for i, r in enumerate(waiting) if r is request)
+        del waiting[index]
+        return service(request, start_time)
+
+    disk.service = spy
+    cylinder_bytes = WREN_IV.cylinder_bytes
+    pool = [rng.randrange(WREN_IV.cylinders) for _ in range(rng.randint(3, 12))]
+
+    def client(delay, request):
+        yield sim.timeout(delay)
+        waiting.append(request)
+        yield queued.submit(request)
+
+    n_requests = rng.randint(1, 40)
+    for _ in range(n_requests):
+        start = rng.choice(pool) * cylinder_bytes + rng.randrange(4) * 1024
+        request = read(start, rng.choice([1, 4, 8, 64]) * 1024)
+        sim.process(client(5 * rng.randrange(40), request))
+    sim.run()
+    assert not waiting
+    assert len(log) == n_requests == queued.requests_served
+    return log
+
+
+def _brute_force_choice(discipline, queue, head, direction):
+    """The discipline's rule, written out: ``(index, direction)``.
+
+    FCFS takes the head of the queue.  The elevator takes the nearest
+    cylinder at or ahead of the head in the sweep direction, reverses
+    when none is ahead, and breaks distance ties by submission order.
+    A lone waiting request is served as FCFS serves it, and the sweep
+    keeps its direction.
+    """
+    if discipline == "fcfs" or len(queue) == 1:
+        return 0, direction
+    cylinders = [r.start_byte // WREN_IV.cylinder_bytes for r in queue]
+    ahead = [i for i, c in enumerate(cylinders) if (c - head) * direction >= 0]
+    if not ahead:
+        direction = -direction
+        ahead = range(len(queue))
+    return min(ahead, key=lambda i: (abs(cylinders[i] - head), i)), direction
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "elevator"])
+@pytest.mark.parametrize("seed", range(25))
+def test_every_dispatch_follows_the_discipline(discipline, seed):
+    direction = 1
+    for queue, head, chosen in _run_random_requests(discipline, seed):
+        index, direction = _brute_force_choice(discipline, queue, head, direction)
+        assert queue[index] is chosen
 
 
 class TestRequestInvariants:

@@ -66,7 +66,7 @@ class ReferenceFreeBlockList:
 
     def first(self) -> int | None:
         """Lowest free address, or None."""
-        return self._index.first()
+        return self._index.successor(0)
 
     def first_at_or_after(self, address: int) -> int | None:
         """Lowest free address >= ``address``, or None."""

@@ -106,14 +106,6 @@ class TestRelease:
         with pytest.raises(SimulationError):
             fmap.release(95, 10)
 
-    def test_fragment_count_and_largest(self):
-        fmap = FreeExtentMap(100)
-        fmap.take_at(0, 100)
-        fmap.release(0, 5)
-        fmap.release(50, 30)
-        assert fmap.fragment_count == 2
-        assert fmap.largest_free() == 30
-
 
 @st.composite
 def alloc_free_script(draw):

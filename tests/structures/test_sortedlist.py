@@ -44,16 +44,6 @@ class TestSortedAddresses:
         assert s.predecessor(11) == 10
         assert s.predecessor(25) == 20
 
-    def test_first(self):
-        assert SortedAddresses().first() is None
-        assert SortedAddresses([4, 2]).first() == 2
-
-    def test_range(self):
-        s = SortedAddresses([1, 3, 5, 7])
-        assert s.range(3, 7) == [3, 5]
-        assert s.range(0, 100) == [1, 3, 5, 7]
-        assert s.range(8, 9) == []
-
     def test_replace_keeps_rank(self):
         s = SortedAddresses([1, 5, 9])
         s.replace(5, 8)
