@@ -389,8 +389,11 @@ BENCHMARKS: dict[str, Callable[[float, int], dict[str, Any]]] = {
 }
 
 
-def run_suite(scale: float = 1.0, repeats: int = 3) -> dict[str, dict[str, Any]]:
-    """Run every registered microbenchmark; return name -> result."""
+def run_suite(
+    scale: float = 1.0, repeats: int = 3, names: list[str] | None = None
+) -> dict[str, dict[str, Any]]:
+    """Run the named microbenchmarks (default: all); return name -> result."""
     return {
-        name: bench(scale, repeats) for name, bench in sorted(BENCHMARKS.items())
+        name: BENCHMARKS[name](scale, repeats)
+        for name in sorted(BENCHMARKS if names is None else names)
     }

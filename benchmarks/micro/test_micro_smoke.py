@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from benchmarks.micro import BENCHMARKS, run_suite
 from benchmarks.micro.__main__ import main as micro_main
 
@@ -68,3 +70,27 @@ def test_cli_baseline_speedup(tmp_path, capsys):
     assert set(record["speedup"]) == set(BENCHMARKS)
     assert all(ratio > 0 for ratio in record["speedup"].values())
     capsys.readouterr()
+
+
+def test_cli_only_runs_the_named_benchmark(tmp_path, monkeypatch, capsys):
+    for name in BENCHMARKS:
+        if name != "engine_loop":
+            monkeypatch.setitem(BENCHMARKS, name, _must_not_run)
+    output = tmp_path / "BENCH_core.json"
+    assert micro_main(["--only", "engine_loop", "--scale", "0.01",
+                       "--repeats", "1", "--output", str(output)]) == 0
+    assert set(json.loads(output.read_text())["benchmarks"]) == {"engine_loop"}
+    capsys.readouterr()
+
+
+def test_cli_only_rejects_unknown_name_before_timing(monkeypatch, capsys):
+    for name in BENCHMARKS:
+        monkeypatch.setitem(BENCHMARKS, name, _must_not_run)
+    with pytest.raises(SystemExit) as excinfo:
+        micro_main(["--only", "nope"])
+    assert excinfo.value.code == 2
+    assert "unknown benchmark 'nope'" in capsys.readouterr().err
+
+
+def _must_not_run(scale, repeats):
+    raise AssertionError("benchmark ran although --only named another")

@@ -64,7 +64,6 @@ from .core import (
     sweep_extent_performance,
     sweep_restricted_fragmentation,
     sweep_restricted_performance,
-    table3_buddy,
 )
 from .disk import (
     WREN_IV,
@@ -119,7 +118,6 @@ from .sim import RandomStream, Simulator, ThroughputMeter
 from .workload import (
     Profile,
     WorkloadDriver,
-    mini,
     run_allocation_until_full,
     supercomputer,
     time_sharing,
@@ -165,7 +163,6 @@ __all__ = [
     "time_sharing",
     "transaction_processing",
     "supercomputer",
-    "mini",
     "WorkloadDriver",
     "run_allocation_until_full",
     # core
@@ -183,7 +180,6 @@ __all__ = [
     "run_allocation_experiment",
     "run_performance_experiment",
     "selected_policies",
-    "table3_buddy",
     "figure6",
     "grow_factor_ablation",
     "sweep_restricted_fragmentation",

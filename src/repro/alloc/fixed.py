@@ -104,16 +104,6 @@ class FixedBlockAllocator(Allocator):
 
     # -- introspection ----------------------------------------------------------
 
-    @property
-    def free_blocks(self) -> int:
-        """Blocks currently on the free list."""
-        return len(self._free_blocks)
-
-    @property
-    def usable_units(self) -> int:
-        """Units coverable by whole blocks (capacity minus the tail sliver)."""
-        return self._usable_units
-
     def snapshot_free_state(self) -> dict:
         """The free list in LIFO order (fingerprint hook).
 

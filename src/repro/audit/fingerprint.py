@@ -64,17 +64,17 @@ def _callback_name(callback: Any) -> str:
 
 
 def snapshot_events(sim) -> list[list]:
-    """Live (non-cancelled) events as ``[time, seq, callback]``.
+    """Scheduled events as ``[time, seq, callback]``.
 
     Sorted by ``(time, seq)`` — the engine's firing order — so the
-    rendering is identical whichever internal queue holds each event.
-    The ``immediate`` routing flag is deliberately excluded: the fast
-    and reference engines route zero-delay events differently while
-    firing identical sequences, and fingerprints must agree across both.
+    rendering is identical whichever internal queue holds each event:
+    the fast and reference engines route zero-delay events differently
+    while firing identical sequences, and fingerprints must agree
+    across both.
     """
     return [
-        [event.time, event.seq, _callback_name(event.callback)]
-        for event in sim._heap.live_events()
+        [time, seq, _callback_name(callback)]
+        for time, seq, callback, _ in sim.live_events()
     ]
 
 

@@ -376,7 +376,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "events_executed": sim.events_executed,
             "events_per_sec": sim.events_executed / wall_s,
             "pending_events": sim.pending_events,
-            "compactions": sim.compactions,
             "application_percent": result.application.percent,
             "sequential_percent": result.sequential.percent,
             "layers": layers,
@@ -389,7 +388,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"wall {wall_s:.2f}s, simulated {sim.now / 1000.0:.1f}s, "
         f"{sim.events_executed:,d} events "
         f"({sim.events_executed / wall_s:,.0f} events/sec), "
-        f"{sim.pending_events} pending, {sim.compactions} heap compactions"
+        f"{sim.pending_events} pending"
     )
     print(
         f"application {result.application.percent:.1f}%  "

@@ -1,7 +1,6 @@
-"""Head-to-head runs: Table 3 (buddy) and Figure 6 (all four policies).
+"""Head-to-head runs: Figure 6 (all four policies).
 
-Table 3 reports the buddy policy's fragmentation and throughput on each
-workload.  Figure 6 compares the §5 *selected* configurations — buddy,
+Figure 6 compares the §5 *selected* configurations — buddy,
 restricted (5 sizes, grow 1, clustered), extent (first-fit, 3 ranges), and
 the fixed-block baseline (4K for TS, 16K for TP/SC) — on sequential (6a)
 and application (6b) performance.
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..workload.driver import AllocationTestResult
 from .configs import (
     SELECTED_BUDDY,
     SELECTED_RESTRICTED,
@@ -25,59 +23,6 @@ from .experiments import PerformanceResult
 from .runner import ExperimentRunner, ExperimentTask, execute_all
 
 WORKLOADS = ("SC", "TP", "TS")
-
-
-@dataclass(frozen=True)
-class Table3Row:
-    """One workload row of Table 3."""
-
-    workload: str
-    allocation: AllocationTestResult
-    performance: PerformanceResult
-
-    @property
-    def internal_percent(self) -> float:
-        return self.allocation.fragmentation.internal_percent
-
-    @property
-    def external_percent(self) -> float:
-        return self.allocation.fragmentation.external_percent
-
-    @property
-    def application_percent(self) -> float:
-        return self.performance.application.percent
-
-    @property
-    def sequential_percent(self) -> float:
-        return self.performance.sequential.percent
-
-
-def table3_buddy(
-    system: SystemConfig,
-    seed: int = 1991,
-    app_cap_ms: float = 300_000.0,
-    seq_cap_ms: float = 300_000.0,
-    fill_fraction: float | None = None,
-    workloads: tuple[str, ...] = WORKLOADS,
-    runner: ExperimentRunner | None = None,
-) -> list[Table3Row]:
-    """Run the buddy policy through both §3 tests on every workload."""
-    tasks = []
-    for workload in workloads:
-        config = ExperimentConfig(
-            policy=SELECTED_BUDDY, workload=workload, system=system, seed=seed
-        )
-        tasks.append(ExperimentTask.allocation(config, fill_fraction=fill_fraction))
-        tasks.append(
-            ExperimentTask.performance(
-                config, app_cap_ms=app_cap_ms, seq_cap_ms=seq_cap_ms
-            )
-        )
-    results = execute_all(tasks, runner)
-    return [
-        Table3Row(workload, results[2 * i], results[2 * i + 1])
-        for i, workload in enumerate(workloads)
-    ]
 
 
 def selected_policies(workload: str) -> list[PolicyConfig]:

@@ -119,16 +119,6 @@ def backoff_delay(
     return delay + jitter
 
 
-def backoff_schedule(
-    jitter_seed: int, index: int, retries: int, base_s: float
-) -> list[float]:
-    """Every retry delay a task could experience, in attempt order."""
-    return [
-        backoff_delay(jitter_seed, index, attempt, base_s)
-        for attempt in range(retries)
-    ]
-
-
 @dataclass
 class _Assignment:
     """One task attempt in flight on a worker."""

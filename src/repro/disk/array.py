@@ -117,12 +117,6 @@ class DiskSystem(abc.ABC):
         """Bytes transferred across all drives since construction."""
         return sum(d.bytes_moved for d in self.drives)
 
-    def busy_fraction(self, elapsed_ms: float) -> float:
-        """Mean per-drive busy fraction over ``elapsed_ms``."""
-        if not self.drives or elapsed_ms <= 0:
-            return 0.0
-        return sum(d.utilization(elapsed_ms) for d in self.drives) / len(self.drives)
-
 
 class StripedArray(DiskSystem):
     """Round-robin striping across N identical drives.

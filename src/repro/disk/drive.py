@@ -68,10 +68,6 @@ class DiskDrive:
         """Cylinder holding ``byte_offset`` (cylinder-major layout)."""
         return byte_offset // self._cylinder_bytes
 
-    def track_of(self, byte_offset: int) -> int:
-        """Absolute track index holding ``byte_offset``."""
-        return byte_offset // self._track_bytes
-
     def start_angle(self, byte_offset: int) -> float:
         """Angular address of a byte, in fractions of a revolution.
 

@@ -59,11 +59,6 @@ class DiskGeometry:
     # -- derived layout -----------------------------------------------------
 
     @property
-    def tracks(self) -> int:
-        """Total tracks on the drive."""
-        return self.platters * self.cylinders
-
-    @property
     def cylinder_bytes(self) -> int:
         """Bytes per cylinder (all tracks under the heads at one position)."""
         return self.platters * self.track_bytes
@@ -117,11 +112,6 @@ class DiskGeometry:
             + self.seek_time(1)
         )
         return self.cylinder_bytes / per_cylinder
-
-    @property
-    def average_rotational_latency_ms(self) -> float:
-        """Expected rotational delay for a random request (half a turn)."""
-        return self.rotation_ms / 2.0
 
     # -- scaling ----------------------------------------------------------------
 

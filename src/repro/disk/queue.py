@@ -31,7 +31,6 @@ from collections import deque
 from ..errors import InvalidRequestError, SimulationError
 
 from ..sim.engine import Simulator, Waitable
-from ..sim.stats import Tally
 from .drive import DiskDrive
 from .geometry import DiskGeometry
 from .request import DiskRequest, IoKind, ServiceBreakdown
@@ -75,8 +74,6 @@ class QueuedDrive:
         self.bytes_moved = 0
         self.requests_served = 0
         self.requests_enqueued = 0
-        self.latency = Tally()
-        self.queue_wait = Tally()
         #: Per-drive fault flags, attached by a
         #: :class:`~repro.fault.injector.FaultInjector`; ``None`` (the
         #: default) keeps the service path fault-free and bit-identical
@@ -144,13 +141,11 @@ class QueuedDrive:
             self._busy = False
             return
         self._busy = True
-        if self._use_elevator and len(self._queue) > 1:
+        if self._use_elevator:
             request, completion, submitted_at, spans = self._pop_elevator()
         else:
             request, completion, submitted_at, spans = self._queue.popleft()
         now = sim.now
-        wait_ms = now - submitted_at
-        self.queue_wait.add(wait_ms)
         breakdown = self.drive.service(request, now)
         faults = self.fault_state
         retried = False
@@ -162,14 +157,13 @@ class QueuedDrive:
         self.busy_ms += total_ms
         self.bytes_moved += request.n_bytes
         self.requests_served += 1
-        self.latency.add(total_ms)
         rspan = None
         if spans is not None:
             rspan, qspan = spans
             self.sim.tracer.end(qspan)
         metrics = sim.metrics
         if metrics is not None:
-            metrics.observe("disk.queue_wait_ms", wait_ms)
+            metrics.observe("disk.queue_wait_ms", now - submitted_at)
             metrics.add("disk.seek_ms", breakdown.seek_ms)
             metrics.add("disk.rotation_ms", breakdown.rotation_ms)
             metrics.add("disk.transfer_ms", breakdown.transfer_ms)
@@ -277,12 +271,6 @@ class QueuedDrive:
         chosen = queue[best_index]
         del queue[best_index]
         return chosen
-
-    def utilization(self, elapsed_ms: float) -> float:
-        """Fraction of ``elapsed_ms`` the drive spent transferring/seeking."""
-        if elapsed_ms <= 0:
-            return 0.0
-        return self.busy_ms / elapsed_ms
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -3,11 +3,12 @@
 One :class:`MetricsRegistry` is attached per simulation as
 ``sim.metrics`` (``None`` disabled, same fast-path discipline as the
 tracer).  It *extends* the bookkeeping the simulator already does — the
-per-drive :class:`~repro.sim.stats.Tally` objects, the workload driver's
+per-drive request, byte and busy-time counters, the workload driver's
 per-operation tallies, the allocator's request counts, the fault
 injector's window meters — rather than duplicating it: subsystems record
-only what no existing counter captures (latency distributions at fixed
-bucket edges, degraded-window transitions, seek distances), and the
+only what no existing counter captures (queue-wait and service latency
+distributions at fixed bucket edges, degraded-window transitions, seek
+distances), and the
 experiment layer folds both sources into one snapshot dict at the end of
 a run (see ``repro.core.experiments.collect_metrics_snapshot``).
 

@@ -166,12 +166,6 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def instant(
-        self, name: str, cat: str, tid: int, args: dict[str, Any] | None = None
-    ) -> None:
-        """Record a zero-duration marker (e.g. a fault-injection flip)."""
-        self.instants.append((name, cat, tid, self.sim.now, args))
-
     def name_lane(self, tid: int, name: str) -> None:
         """Label a trace lane (rendered as a thread name in Perfetto)."""
         self.lanes[tid] = name

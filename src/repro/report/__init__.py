@@ -1,7 +1,7 @@
 """Report rendering: tables and text bar charts for the benchmark harness."""
 
 from .figures import BAR_WIDTH, GroupedBarChart, render_bar
-from .summary import render_performance_summary, render_policy_comparison
+from .summary import render_performance_summary
 from .tables import Table, percent
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "render_bar",
     "BAR_WIDTH",
     "render_performance_summary",
-    "render_policy_comparison",
 ]

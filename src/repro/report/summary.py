@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..core.experiments import PerformanceResult
 from ..fault.injector import FaultSummary
-from .figures import GroupedBarChart
 from .tables import Table
 
 
@@ -150,20 +149,3 @@ def render_performance_summary(result: PerformanceResult) -> str:
         sections.append(render_metrics_snapshot(result.metrics))
     return "\n\n".join(sections)
 
-
-def render_policy_comparison(
-    results: list[PerformanceResult], title: str = "Policy comparison"
-) -> str:
-    """Side-by-side bars for a list of performance results."""
-    sequential = GroupedBarChart(
-        f"{title} — sequential (% of max)", value_format="{:.1f}%", maximum=100.0
-    )
-    application = GroupedBarChart(
-        f"{title} — application (% of max)", value_format="{:.1f}%", maximum=100.0
-    )
-    for result in results:
-        sequential.add(result.workload, result.policy_label,
-                       result.sequential.percent)
-        application.add(result.workload, result.policy_label,
-                        result.application.percent)
-    return sequential.render() + "\n\n" + application.render()

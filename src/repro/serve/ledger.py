@@ -38,8 +38,6 @@ from typing import Any
 from ..core.runner import atomic_write
 from ..errors import ServiceError
 
-LEDGER_FORMAT = 1
-
 
 @dataclass
 class LedgerEntry:

@@ -9,7 +9,6 @@ Public surface:
 """
 
 from .engine import AllOf, Process, Simulator, Waitable
-from .events import Event, EventHeap
 from .meters import (
     DEFAULT_INTERVAL_MS,
     DEFAULT_TOLERANCE,
@@ -17,20 +16,17 @@ from .meters import (
     ThroughputMeter,
 )
 from .rng import RandomStream
-from .stats import Tally, histogram
+from .stats import Tally
 
 __all__ = [
     "AllOf",
     "Simulator",
     "Process",
     "Waitable",
-    "Event",
-    "EventHeap",
     "RandomStream",
     "ThroughputMeter",
     "DEFAULT_INTERVAL_MS",
     "DEFAULT_TOLERANCE",
     "DEFAULT_WINDOW",
     "Tally",
-    "histogram",
 ]

@@ -1,9 +1,10 @@
 """Discrete-event simulation engine.
 
 This is the substrate under every experiment in the study: an event-driven
-simulator with a millisecond clock, a time-ordered event heap
-(:mod:`repro.sim.events`), and generator-based *processes* in the style the
-paper describes for its per-user event streams.
+simulator with a millisecond clock, scheduled events kept "in a heap,
+sorted by their scheduled time" as the paper puts it, and generator-based
+*processes* in the style the paper describes for its per-user event
+streams.
 
 A process is a Python generator that yields *waitables*:
 
@@ -22,11 +23,18 @@ Example:
     >>> log
     [5.0]
 
+Events are plain ``(time, seq, callback, args)`` tuples, where ``seq`` is
+a global creation counter.  Timer events live in a binary heap; zero-delay
+events (waitable resumptions, already-done yields, ``schedule(0)``) go to
+a FIFO *immediate queue*, whose entries all carry the current time and a
+larger ``seq`` than anything created before them.  :meth:`Simulator.run`
+fires the smaller of the two fronts, so ``seq``'s uniqueness settles every
+comparison before it reaches the callback.  Scheduled events are never
+withdrawn: nothing in the model cancels one.
+
 Determinism guarantee: events fire in strictly nondecreasing
-``(time, seq)`` order, where ``seq`` is a global creation counter.  The
-zero-delay fast path (:meth:`Simulator.schedule_immediate`, used by
-:meth:`Waitable.succeed` and already-done yields) provably preserves that
-order — see ``docs/MODEL.md`` — and can be disabled with
+``(time, seq)`` order.  The immediate queue provably preserves that order
+— see ``docs/MODEL.md`` — and can be disabled with
 ``Simulator(immediate_queue=False)`` to fall back to the reference
 pure-heap scheduler, which fires the exact same events in the exact same
 order.
@@ -34,11 +42,12 @@ order.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop as _heappop
+from heapq import heappush as _heappush
 from typing import Any, Callable, Generator
 
 from ..errors import SimulationError
-from .events import Event, EventHeap
 
 ProcessGenerator = Generator["Waitable | float | int", Any, Any]
 
@@ -209,6 +218,10 @@ class Process(Waitable):
         return f"<Process {self.name} {state}>"
 
 
+#: One scheduled event: ``(time, seq, callback, args)``.
+Entry = tuple[float, int, Callable[..., Any], tuple[Any, ...]]
+
+
 class Simulator:
     """The simulation clock and scheduler.
 
@@ -224,18 +237,16 @@ class Simulator:
 
     def __init__(self, immediate_queue: bool = True) -> None:
         self.now = 0.0
-        self._heap = EventHeap()
+        self._heap: list[Entry] = []
+        self._immediate: deque[Entry] = deque()
+        self._seq = 0
         self._stopped = False
         self._events_executed = 0
-        self._immediate_enabled = immediate_queue
-        # Bound once: the zero-delay scheduling primitive.  With the fast
-        # path disabled every "immediate" event goes through the heap at
-        # the current time, which fires the same events in the same order.
-        if immediate_queue:
-            self._push_immediate = self._heap.push_immediate
-        else:
-            self._push_immediate = self._heap.push
-        self._push_timer = self._heap.push
+        # With the fast path disabled every "immediate" event goes through
+        # the heap at the current time, which fires the same events in the
+        # same order.
+        if not immediate_queue:
+            self._push_immediate = self._push_timer
         #: Observability attachment points (:mod:`repro.obs`).  ``None``
         #: (the default) is the disabled fast path: instrumented
         #: subsystems guard every recording behind an ``is not None``
@@ -260,44 +271,55 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
+    def _push_timer(
+        self, time: float, callback: Callable[..., Any], args: tuple[Any, ...]
+    ) -> None:
+        """Insert an event firing at absolute ``time`` into the heap."""
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (time, seq, callback, args))
+
+    def _push_immediate(
+        self, now: float, callback: Callable[..., Any], args: tuple[Any, ...]
+    ) -> None:
+        """Append a zero-delay event at time ``now`` to the immediate FIFO.
+
+        ``now`` must be the current clock: the run loop's merge relies on
+        every queued immediate event sharing the current time and carrying
+        a larger ``seq`` than any event created before it.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        self._immediate.append((now, seq, callback, args))
+
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(self, *args)`` after ``delay`` milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         if delay == 0:
-            return self._push_immediate(self.now, callback, args)
-        return self._push_timer(self.now + delay, callback, args)
+            self._push_immediate(self.now, callback, args)
+        else:
+            self._push_timer(self.now + delay, callback, args)
 
-    def schedule_immediate(
-        self, callback: Callable[..., Any], *args: Any
-    ) -> Event:
+    def schedule_immediate(self, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(self, *args)`` at the current time.
 
         Equivalent to ``schedule(0.0, ...)`` but skips the delay checks;
         this is the zero-delay resumption fast path used by
         :meth:`Waitable.succeed`.
         """
-        return self._push_immediate(self.now, callback, args)
+        self._push_immediate(self.now, callback, args)
 
-    def schedule_at(
-        self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(self, *args)`` at absolute time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
         if time == self.now:
-            return self._push_immediate(self.now, callback, args)
-        return self._heap.push(time, callback, args)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event so it never fires."""
-        if not event.cancelled:
-            event.cancel()
-            self._heap.note_cancelled(event)
+            self._push_immediate(self.now, callback, args)
+        else:
+            self._push_timer(time, callback, args)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Register a generator as a process starting at the current time."""
@@ -337,8 +359,8 @@ class Simulator:
     ) -> None:
         """Run events in time order.
 
-        Stops when no live events remain, when the clock would pass
-        ``until`` (the clock is then advanced to exactly ``until``), when
+        Stops when no events remain, when the clock would pass ``until``
+        (the clock is then advanced to exactly ``until``), when
         ``stop_when()`` returns True after an event executes, or when
         :meth:`stop` is called from inside an event.  An attached
         ``auditor`` sees each event before ``stop_when`` is consulted.
@@ -357,70 +379,37 @@ class Simulator:
 
             stop_when = audited_stop
         heap = self._heap
-        # The two event queues, aliased for the duration of the loop.
-        # EventHeap._compact mutates the heap list in place, so these
-        # references stay valid across callbacks that cancel events.
-        heap_list = heap._heap
-        immediate = heap._immediate
+        immediate = self._immediate
         horizon = float("inf") if until is None else until
-        popped = 0
-        try:
-            while not self._stopped:
-                # -- "what fires next": drop cancelled fronts, then take
-                #    the lower (time, seq) of the two queue heads ---------
-                while immediate and immediate[0].cancelled:
-                    immediate.popleft()
-                while heap_list and heap_list[0][2].cancelled:
-                    _heappop(heap_list)
-                    heap._garbage -= 1
-                event = None
-                if immediate:
-                    front = immediate[0]
-                    if heap_list:
-                        head = heap_list[0]
-                        head_time = head[0]
-                        if head_time < front.time or (
-                            head_time == front.time and head[1] < front.seq
-                        ):
-                            if head_time > horizon:
-                                break
-                            _heappop(heap_list)
-                            event = head[2]
-                    if event is None:
-                        if front.time > horizon:
-                            break
-                        immediate.popleft()
-                        event = front
-                elif heap_list:
-                    head = heap_list[0]
-                    if head[0] > horizon:
+        while not self._stopped:
+            # "What fires next": the lower (time, seq) of the two fronts.
+            if immediate:
+                if heap and heap[0] < immediate[0]:
+                    if heap[0][0] > horizon:
                         break
-                    _heappop(heap_list)
-                    event = head[2]
+                    entry = _heappop(heap)
                 else:
+                    if immediate[0][0] > horizon:
+                        break
+                    entry = immediate.popleft()
+            elif heap:
+                if heap[0][0] > horizon:
                     break
-                popped += 1
-                event_time = event.time
-                if event_time < self.now:
-                    raise SimulationError(
-                        "event heap returned an event in the past"
-                    )
-                self.now = event_time
-                event.callback(self, *event.args)
-                # Live, not batched: telemetry frames and fingerprints
-                # read it from inside the run.
-                self._events_executed += 1
-                if stop_when is not None and stop_when():
-                    return
-        finally:
-            # heap._live is batched: mid-run it is read only by the
-            # cancellation underflow guard, where a transiently high count
-            # is harmless, and the compaction trigger compares against the
-            # raw heap list, not the live count.  Counting pops rather
-            # than completed callbacks keeps it exact when one raises.
-            heap._live -= popped
+                entry = _heappop(heap)
+            else:
+                break
+            time, _, callback, args = entry
+            if time < self.now:
+                raise SimulationError("event heap returned an event in the past")
+            self.now = time
+            callback(self, *args)
+            # Live, not batched: telemetry frames and fingerprints read it
+            # from inside the run.
+            self._events_executed += 1
+            if stop_when is not None and stop_when():
+                return
         if until is not None and not self._stopped:
-            if len(heap) > 0:
+            if heap or immediate:
                 self.now = until  # next event lies beyond the horizon
             else:
                 self.now = max(self.now, until)
@@ -429,17 +418,22 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
+    def live_events(self) -> list[Entry]:
+        """Every scheduled event, sorted by ``(time, seq)``.
+
+        Audit/fingerprint hook: the order is the firing order whichever
+        queue holds each event, so two engines in identical logical state
+        render the same snapshot.  O(n log n); never called from the run
+        loop.
+        """
+        return sorted([*self._heap, *self._immediate])
+
     @property
     def pending_events(self) -> int:
-        """Number of live events still scheduled."""
-        return len(self._heap)
+        """Number of events still scheduled."""
+        return len(self._heap) + len(self._immediate)
 
     @property
     def events_executed(self) -> int:
         """Total number of events executed since construction."""
         return self._events_executed
-
-    @property
-    def compactions(self) -> int:
-        """Lazy heap compactions performed (cancel-heavy workloads)."""
-        return self._heap.compactions

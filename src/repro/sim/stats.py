@@ -1,10 +1,11 @@
 """Small statistics helpers used across the simulator.
 
-A :class:`Tally` accumulates scalar observations with Welford's online
-algorithm (numerically stable mean/variance without storing samples).
-Experiment drivers use it for per-operation latency and counts, and for
-per-policy bookkeeping such as the extents-per-file numbers behind
-Table 4.  Named counters live in :class:`repro.obs.metrics.MetricsRegistry`.
+A :class:`Tally` accumulates scalar observations: count, running mean,
+minimum and maximum, without storing samples.  The workload driver keeps
+one per operation type for the latency means in every performance
+result, and :class:`FixedHistogram` keeps one for its summary
+statistics.  Named counters live in
+:class:`repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from bisect import bisect_left
 
 
 class Tally:
-    """Online mean / variance / min / max of a stream of observations."""
+    """Online mean / min / max of a stream of observations."""
 
-    __slots__ = ("count", "_mean", "_m2", "minimum", "maximum")
+    __slots__ = ("count", "_mean", "minimum", "maximum")
 
     def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
 
@@ -29,10 +29,7 @@ class Tally:
         """Record one observation."""
         count = self.count + 1
         self.count = count
-        delta = value - self._mean
-        mean = self._mean + delta / count
-        self._mean = mean
-        self._m2 += delta * (value - mean)
+        self._mean += (value - self._mean) / count
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
@@ -44,38 +41,9 @@ class Tally:
         return self._mean if self.count else 0.0
 
     @property
-    def variance(self) -> float:
-        """Population variance (0.0 with fewer than two observations)."""
-        return self._m2 / self.count if self.count >= 2 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
-
-    @property
     def total(self) -> float:
         """Sum of all observations."""
         return self._mean * self.count
-
-    def merge(self, other: "Tally") -> None:
-        """Fold another tally's observations into this one (Chan's method)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        combined = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / combined
-        self._mean += delta * other.count / combined
-        self.count = combined
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Tally n={self.count} mean={self.mean:.3f}>"
@@ -89,9 +57,8 @@ class FixedHistogram:
     ``v <= edges[0]``); one extra overflow bucket counts everything above
     ``edges[-1]``.  A :class:`Tally` rides along for count / sum / mean /
     min / max, so the latency histograms the observability layer exports
-    need no second accumulator.  Unlike :func:`histogram`, the edges are
-    declared up front, so two runs (or two worker processes) produce
-    directly comparable — and mergeable — buckets.
+    need no second accumulator.  The edges are declared up front, so two
+    runs (or two worker processes) produce directly comparable buckets.
     """
 
     __slots__ = ("edges", "counts", "tally")
@@ -115,14 +82,6 @@ class FixedHistogram:
         """Total observations recorded."""
         return self.tally.count
 
-    def merge(self, other: "FixedHistogram") -> None:
-        """Fold another histogram with identical edges into this one."""
-        if other.edges != self.edges:
-            raise ValueError("cannot merge histograms with different edges")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.tally.merge(other.tally)
-
     def as_dict(self) -> dict:
         """A picklable/JSON-safe snapshot (edges, counts, summary stats)."""
         tally = self.tally
@@ -139,25 +98,3 @@ class FixedHistogram:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FixedHistogram n={self.count} edges={len(self.edges)}>"
 
-
-def histogram(values: list[float], n_bins: int) -> list[tuple[float, float, int]]:
-    """Equal-width histogram: list of ``(low, high, count)`` bins.
-
-    Used by the report layer for latency distribution summaries.  Returns
-    an empty list for empty input; a single degenerate bin when all values
-    are equal.
-    """
-    if not values:
-        return []
-    low, high = min(values), max(values)
-    if low == high:
-        return [(low, high, len(values))]
-    width = (high - low) / n_bins
-    bins = [0] * n_bins
-    for value in values:
-        index = min(int((value - low) / width), n_bins - 1)
-        bins[index] += 1
-    return [
-        (low + i * width, low + (i + 1) * width, count)
-        for i, count in enumerate(bins)
-    ]

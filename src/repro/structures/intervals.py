@@ -47,13 +47,6 @@ class FreeExtentMap:
         for start in self._starts:
             yield start, self._lengths[start]
 
-    def is_free(self, start: int, length: int) -> bool:
-        """True when ``[start, start+length)`` lies inside one free interval."""
-        candidate = self._starts.predecessor(start + 1)
-        if candidate is None:
-            return False
-        return candidate <= start and start + length <= candidate + self._lengths[candidate]
-
     # -- allocation ----------------------------------------------------------
 
     def take_first_fit(self, length: int, count: int) -> list[int] | None:
@@ -158,19 +151,6 @@ class FreeExtentMap:
         if following is None:
             return None
         return following, following, self._lengths[following]
-
-    def take_at(self, start: int, length: int) -> bool:
-        """Allocate the exact range ``[start, start+length)`` if it is free."""
-        if length <= 0:
-            raise SimulationError(f"allocation length must be positive: {length}")
-        interval_start = self._starts.predecessor(start + 1)
-        if interval_start is None:
-            return False
-        interval_length = self._lengths[interval_start]
-        if interval_start <= start and start + length <= interval_start + interval_length:
-            self._carve(interval_start, start, length)
-            return True
-        return False
 
     # -- release ---------------------------------------------------------------
 

@@ -88,11 +88,6 @@ def ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def is_power_of_two(value: int) -> bool:
-    """Return True when ``value`` is a positive power of two."""
-    return value > 0 and (value & (value - 1)) == 0
-
-
 def next_power_of_two(value: int) -> int:
     """Round ``value`` up to the nearest power of two (minimum 1)."""
     if value <= 1:

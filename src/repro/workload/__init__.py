@@ -15,8 +15,6 @@ from .ops import (
 )
 from .profiles import (
     Profile,
-    mini,
-    profile_by_name,
     supercomputer,
     time_sharing,
     transaction_processing,
@@ -30,8 +28,6 @@ __all__ = [
     "time_sharing",
     "transaction_processing",
     "supercomputer",
-    "mini",
-    "profile_by_name",
     "WorkloadDriver",
     "AllocationTestResult",
     "run_allocation_until_full",

@@ -260,10 +260,6 @@ class WorkloadDriver:
         self.fs.allocate_to(fs_file, size, step_bytes=_populate_step(file_type))
         return fs_file
 
-    def live_file_count(self) -> int:
-        """Total live files across all types."""
-        return sum(len(v) for v in self.files.values())
-
 
 # ---------------------------------------------------------------------------
 # The untimed allocation test

@@ -139,15 +139,6 @@ class FileType:
             return float(self.n_users)
         return self.n_users / self.process_time_ms
 
-    @property
-    def expected_bytes(self) -> int:
-        """Expected total initial bytes across the type's files."""
-        return self.n_files * self.initial_size_bytes
-
-    def with_files(self, n_files: int) -> "FileType":
-        """Copy with a different population size (fill-fraction solving)."""
-        return replace(self, n_files=n_files)
-
     def scaled_sizes(self, factor: float, floor_bytes: int = 1024) -> "FileType":
         """Copy with *file* sizes scaled by ``factor``.
 

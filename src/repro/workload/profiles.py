@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..units import KIB, MIB, parse_size
+from ..units import KIB, MIB
 from .filetype import AccessPattern, FileType
 
 
@@ -37,18 +37,6 @@ class Profile:
         names = [t.name for t in self.types]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate type names in {self.name}")
-
-    @property
-    def total_initial_bytes(self) -> int:
-        """Expected bytes of the initial population."""
-        return sum(t.expected_bytes for t in self.types)
-
-    def type_named(self, name: str) -> FileType:
-        """Look up a file type by name."""
-        for file_type in self.types:
-            if file_type.name == name:
-                return file_type
-        raise ConfigurationError(f"no type {name!r} in profile {self.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,53 +259,3 @@ def supercomputer(scale: float = 1.0) -> Profile:
         access=AccessPattern.SEQUENTIAL,
     ).scaled_sizes(scale)
     return Profile(name="SC", types=(large, medium, small))
-
-
-# ---------------------------------------------------------------------------
-# A miniature profile for unit tests (fast, but every op type appears).
-# ---------------------------------------------------------------------------
-
-
-def mini(
-    n_files: int = 8,
-    initial_size: str | int = "16K",
-) -> Profile:
-    """A small mixed workload for tests and examples."""
-    size = parse_size(initial_size)
-    mixed = FileType(
-        name="mini",
-        n_files=n_files,
-        n_users=4,
-        process_time_ms=5.0,
-        hit_frequency_ms=10.0,
-        rw_size_bytes=max(1024, size // 4),
-        rw_deviation_bytes=max(256, size // 16),
-        allocation_size_bytes=max(1024, size // 4),
-        truncate_size_bytes=max(1024, size // 4),
-        initial_size_bytes=size,
-        initial_deviation_bytes=size // 4,
-        read_ratio=50.0,
-        write_ratio=20.0,
-        extend_ratio=15.0,
-        truncate_ratio=7.5,
-        delete_ratio=7.5,
-        access=AccessPattern.RANDOM,
-    )
-    return Profile(name="MINI", types=(mixed,))
-
-
-#: Registry used by experiment drivers and the CLI examples.
-def profile_by_name(
-    name: str, capacity_bytes: int, scale: float = 1.0
-) -> Profile:
-    """Build a profile by its paper name ("TS", "TP", "SC")."""
-    key = name.strip().upper()
-    if key == "TS":
-        return time_sharing(capacity_bytes, scale=scale)
-    if key == "TP":
-        return transaction_processing(scale=scale)
-    if key == "SC":
-        return supercomputer(scale=scale)
-    if key == "MINI":
-        return mini()
-    raise ConfigurationError(f"unknown profile {name!r}")

@@ -303,7 +303,7 @@ def test_allocate_to_disk_full_keeps_covered_length():
     )
     fs = FileSystem(sim, array, allocator)
     fs_file = fs.create()
-    free_units = allocator.free_blocks * 4
+    free_units = allocator.free_units - allocator.free_units % 4
     # Whole 8-unit chunks fit until fewer than 8 units remain.
     with pytest.raises(DiskFullError):
         fs.allocate_to(fs_file, (free_units + 100) * KIB, step_bytes=8 * KIB)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.alloc.buddy import BinaryBuddyAllocator
 from repro.errors import DiskFullError
 from repro.sim.rng import RandomStream
-from repro.units import is_power_of_two
 
 
 class TestDoubling:
@@ -41,7 +40,7 @@ class TestDoubling:
         handle = allocator.create()
         allocator.extend(handle, 77)
         for extent in handle.extents:
-            assert is_power_of_two(extent.length)
+            assert extent.length & (extent.length - 1) == 0
 
     def test_alignment_invariant(self):
         """A block of size 2^k starts at a multiple of 2^k."""

@@ -77,7 +77,7 @@ class TestAllocation:
         allocator.extend(handle, 40)
         allocator.delete(handle)
         assert allocator.allocated_units == 0
-        assert allocator.free_blocks == 250
+        assert allocator.free_units == 1000
 
     def test_operations_on_deleted_file_raise(self):
         allocator = make()
@@ -110,7 +110,11 @@ class TestConstruction:
 
     def test_usable_units_excludes_sliver(self):
         allocator = FixedBlockAllocator(1002, 4)
-        assert allocator.usable_units == 1000
+        handle = allocator.create()
+        with pytest.raises(DiskFullError):
+            while True:
+                allocator.extend(handle, 4)
+        assert allocator.allocated_units == 1000
 
     def test_aged_free_list_is_scrambled(self):
         from repro.sim.rng import RandomStream

@@ -33,7 +33,7 @@ class TestBuildProfile:
 
     def test_tp_sizes_scale_with_system(self):
         profile = build_profile("TP", SMALL, 0.9)
-        relation = profile.type_named("tp-relation")
+        (relation,) = [t for t in profile.types if t.name == "tp-relation"]
         assert relation.initial_size_bytes == pytest.approx(
             210 * 1024 * 1024 * 0.04, rel=0.01
         )

@@ -166,10 +166,3 @@ class TestConcatArray:
         per_drive_units = TINY_DISK.capacity_bytes // KIB
         run_transfer(sim, array, IoKind.READ, per_drive_units - 4, 8)
         assert all(d.requests_served == 1 for d in array.drives)
-
-    def test_busy_fraction(self):
-        sim = Simulator()
-        array = ConcatArray(sim, TINY_DISK, 2, KIB)
-        assert array.busy_fraction(0.0) == 0.0
-        run_transfer(sim, array, IoKind.READ, 0, 8)
-        assert 0.0 < array.busy_fraction(sim.now) <= 1.0

@@ -20,10 +20,6 @@ class TestAddressing:
         assert drive.cylinder_of(cylinder_bytes - 1) == 0
         assert drive.cylinder_of(cylinder_bytes) == 1
 
-    def test_track_of(self):
-        drive = DiskDrive(TINY_DISK)
-        assert drive.track_of(TINY_DISK.track_bytes) == 1
-
     def test_start_angle_within_track(self):
         drive = DiskDrive(TINY_DISK)
         quarter = TINY_DISK.track_bytes // 4

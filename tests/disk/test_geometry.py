@@ -40,15 +40,11 @@ class TestWrenIV:
 
 class TestDerived:
     def test_tracks_and_cylinder_bytes(self):
-        assert TINY_DISK.tracks == TINY_DISK.platters * TINY_DISK.cylinders
         assert TINY_DISK.cylinder_bytes == TINY_DISK.platters * TINY_DISK.track_bytes
 
     def test_transfer_time_proportional(self):
         half_track = WREN_IV.transfer_ms(WREN_IV.track_bytes // 2)
         assert half_track == pytest.approx(WREN_IV.rotation_ms / 2)
-
-    def test_average_rotational_latency(self):
-        assert WREN_IV.average_rotational_latency_ms == pytest.approx(16.67 / 2)
 
     def test_negative_seek_distance_raises(self):
         with pytest.raises(ConfigurationError):

@@ -18,6 +18,7 @@ from repro.disk.drive import DiskDrive
 from repro.disk.geometry import WREN_IV
 from repro.disk.queue import QueuedDrive
 from repro.disk.request import DiskRequest, IoKind
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStream
 
@@ -80,6 +81,7 @@ class TestSequentialRate:
 class TestQueueingBehaviour:
     def _run_open_queue(self, interarrival_ms, duration_ms=60_000):
         sim = Simulator()
+        sim.metrics = MetricsRegistry()
         drive = QueuedDrive(sim, WREN_IV)
         rng = RandomStream(3)
 
@@ -96,11 +98,12 @@ class TestQueueingBehaviour:
     def test_below_saturation_is_stable(self):
         # Service time ~ 33 ms; arrivals every 100 ms -> rho ~ 0.33.
         sim, drive = self._run_open_queue(interarrival_ms=100.0)
-        assert drive.utilization(sim.now) == pytest.approx(0.33, abs=0.08)
-        assert drive.queue_wait.mean < 40.0  # light queueing only
+        assert drive.busy_ms / sim.now == pytest.approx(0.33, abs=0.08)
+        waits = sim.metrics.histograms["disk.queue_wait_ms"].tally
+        assert waits.mean < 40.0  # light queueing only
 
     def test_beyond_saturation_pins_the_drive(self):
         # Arrivals every 10 ms >> capacity: the drive never goes idle.
         sim, drive = self._run_open_queue(interarrival_ms=10.0)
-        assert drive.utilization(sim.now) > 0.95
+        assert drive.busy_ms / sim.now > 0.95
         assert drive.queue_depth > 100  # unbounded backlog grows

@@ -8,6 +8,7 @@ from repro.disk.geometry import WREN_IV
 from repro.disk.queue import QueuedDrive
 from repro.disk.request import DiskRequest, IoKind, ServiceBreakdown
 from repro.errors import InvalidRequestError, SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator, Waitable
 
 
@@ -59,10 +60,10 @@ class TestFcfs:
         sim.process(proc())
         sim.run()
         assert drive.busy_ms == pytest.approx(sim.now)
-        assert drive.utilization(sim.now) == pytest.approx(1.0)
 
     def test_queue_wait_measured(self):
         sim = Simulator()
+        sim.metrics = MetricsRegistry()
         drive = QueuedDrive(sim, WREN_IV)
 
         def proc():
@@ -73,17 +74,19 @@ class TestFcfs:
 
         sim.process(proc())
         sim.run()
-        assert drive.queue_wait.count == 2
-        assert drive.queue_wait.maximum > 0.0  # second waited behind first
+        waits = sim.metrics.histograms["disk.queue_wait_ms"].tally
+        assert waits.count == 2
+        assert waits.maximum > 0.0  # second waited behind first
 
     def test_idle_utilization_zero(self):
         sim = Simulator()
         drive = QueuedDrive(sim, WREN_IV)
-        assert drive.utilization(100.0) == 0.0
-        assert drive.utilization(0.0) == 0.0
+        sim.run(until=100.0)
+        assert drive.busy_ms == 0.0
 
     def test_latency_tally(self):
         sim = Simulator()
+        sim.metrics = MetricsRegistry()
         drive = QueuedDrive(sim, WREN_IV)
 
         def proc():
@@ -91,8 +94,9 @@ class TestFcfs:
 
         sim.process(proc())
         sim.run()
-        assert drive.latency.count == 1
-        assert drive.latency.mean > 0
+        latency = sim.metrics.histograms["disk.service_ms"].tally
+        assert latency.count == 1
+        assert latency.mean > 0
 
 
 class TestDriveMetering:
@@ -177,9 +181,10 @@ class TestElevator:
 def _run_random_requests(discipline, seed):
     """Submit a random request set; log every dispatch.
 
-    Each log entry is ``(queue, head, chosen)``: the requests waiting
-    at the dispatch in submission order, the head's cylinder before the
-    seek, and the request the drive served.  Arrivals are quantized to
+    Each log entry is ``(queue, head, chosen, direction)``: the requests
+    waiting at the dispatch in submission order, the head's cylinder
+    before the seek, the request the drive served, and the sweep
+    direction the dispatch left behind.  Arrivals are quantized to
     5 ms and cylinders drawn from a small pool, so ties in arrival time
     and in distance are common.
     """
@@ -191,7 +196,7 @@ def _run_random_requests(discipline, seed):
     waiting, log = [], []
 
     def spy(request, start_time):
-        log.append((list(waiting), disk.head_cylinder, request))
+        log.append((list(waiting), disk.head_cylinder, request, queued._direction))
         index = next(i for i, r in enumerate(waiting) if r is request)
         del waiting[index]
         return service(request, start_time)
@@ -222,10 +227,10 @@ def _brute_force_choice(discipline, queue, head, direction):
     FCFS takes the head of the queue.  The elevator takes the nearest
     cylinder at or ahead of the head in the sweep direction, reverses
     when none is ahead, and breaks distance ties by submission order.
-    A lone waiting request is served as FCFS serves it, and the sweep
-    keeps its direction.
+    A lone waiting request follows the same rule, so one behind the head
+    turns the sweep.
     """
-    if discipline == "fcfs" or len(queue) == 1:
+    if discipline == "fcfs":
         return 0, direction
     cylinders = [r.start_byte // WREN_IV.cylinder_bytes for r in queue]
     ahead = [i for i, c in enumerate(cylinders) if (c - head) * direction >= 0]
@@ -239,9 +244,10 @@ def _brute_force_choice(discipline, queue, head, direction):
 @pytest.mark.parametrize("seed", range(25))
 def test_every_dispatch_follows_the_discipline(discipline, seed):
     direction = 1
-    for queue, head, chosen in _run_random_requests(discipline, seed):
+    for queue, head, chosen, swept in _run_random_requests(discipline, seed):
         index, direction = _brute_force_choice(discipline, queue, head, direction)
         assert queue[index] is chosen
+        assert swept == direction
 
 
 class TestRequestInvariants:

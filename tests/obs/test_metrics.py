@@ -51,22 +51,6 @@ class TestFixedHistogramBuckets:
         assert snap["count"] == 0
         assert snap["min"] is None and snap["max"] is None
 
-    def test_merge_requires_identical_edges(self):
-        left = FixedHistogram([1.0, 2.0])
-        right = FixedHistogram([1.0, 3.0])
-        with pytest.raises(ValueError):
-            left.merge(right)
-
-    def test_merge_sums_buckets_and_tally(self):
-        left = FixedHistogram([1.0, 2.0])
-        right = FixedHistogram([1.0, 2.0])
-        left.add(0.5)
-        right.add(1.5)
-        right.add(9.0)
-        left.merge(right)
-        assert left.counts == [1, 1, 1]
-        assert left.count == 3
-
     def test_edges_must_be_ascending_and_nonempty(self):
         with pytest.raises(ValueError):
             FixedHistogram([])

@@ -10,4 +10,7 @@ answers define correctness for the production code they mirror.
 * :mod:`.dll` — the paper's sorted circular doubly-linked free list it
   is built on.
 * :mod:`.bitmap` — its bitmap over maximum-size blocks.
+
+Alongside them, :mod:`.profiles` holds ``mini``, a small mixed workload
+the driver tests run on.
 """

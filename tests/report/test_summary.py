@@ -6,7 +6,6 @@ from repro.report.summary import (
     render_fault_summary,
     render_metrics_snapshot,
     render_performance_summary,
-    render_policy_comparison,
 )
 
 
@@ -138,14 +137,3 @@ class TestMetricsRendering:
         assert "Metrics" in text
         assert "Latency distributions" in text
 
-
-class TestPolicyComparison:
-    def test_groups_by_workload(self):
-        results = [
-            make_result(policy="buddy", workload="SC", seq=0.95),
-            make_result(policy="fixed[16K]", workload="SC", seq=0.32),
-            make_result(policy="buddy", workload="TS", seq=0.14),
-        ]
-        text = render_policy_comparison(results, title="t")
-        assert text.index("SC") < text.index("TS")
-        assert "95.0%" in text and "32.0%" in text

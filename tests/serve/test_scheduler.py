@@ -5,12 +5,7 @@ import os
 import threading
 import time
 
-from repro.core.pool import (
-    TaskScheduler,
-    WorkerCrew,
-    backoff_delay,
-    backoff_schedule,
-)
+from repro.core.pool import TaskScheduler, WorkerCrew, backoff_delay
 from tests.core.test_supervision import run_supervised
 
 
@@ -31,6 +26,14 @@ def slow_if_zero(x):
 def napping(x):
     time.sleep(1.0)
     return ("ok", x, 0.0)
+
+
+def backoff_schedule(jitter_seed, index, retries, base_s):
+    """Every retry delay a task could experience, in attempt order."""
+    return [
+        backoff_delay(jitter_seed, index, attempt, base_s)
+        for attempt in range(retries)
+    ]
 
 
 class TestBackoffDeterminism:

@@ -7,6 +7,13 @@ from repro.errors import SimulationError
 from repro.sim.engine import AllOf, Simulator, Waitable
 
 
+def make_callback(log, tag):
+    def callback(sim):
+        log.append((tag, sim.now))
+
+    return callback
+
+
 class TestScheduling:
     def test_callbacks_run_in_time_order(self):
         sim = Simulator()
@@ -45,14 +52,29 @@ class TestScheduling:
         sim.run()
         assert log == ["fired"]
 
-    def test_cancel_prevents_callback(self):
+    def test_pop_orders_by_time(self):
         sim = Simulator()
         log = []
-        event = sim.schedule(1.0, lambda s: log.append("x"))
-        sim.cancel(event)
+        sim.schedule(5.0, make_callback(log, "b"))
+        sim.schedule(1.0, make_callback(log, "a"))
+        sim.schedule(9.0, make_callback(log, "c"))
         sim.run()
-        assert log == []
-        assert sim.pending_events == 0
+        assert log == [("a", 1.0), ("b", 5.0), ("c", 9.0)]
+
+    def test_ties_break_fifo(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(3.0, make_callback(log, "first"))
+        sim.schedule(3.0, make_callback(log, "second"))
+        sim.run()
+        assert log == [("first", 3.0), ("second", 3.0)]
+
+    def test_run_on_empty_queue_fires_nothing(self):
+        sim = Simulator()
+        sim.run()
+        assert (sim.events_executed, sim.now) == (0, 0.0)
+        sim.run(until=5.0)
+        assert (sim.events_executed, sim.now) == (0, 5.0)
 
     def test_stop_ends_run_early(self):
         sim = Simulator()
@@ -387,7 +409,7 @@ class TestRaisingCallback:
         sim.schedule(2.0, lambda s: None)
         with pytest.raises(RuntimeError, match="boom"):
             sim.run()
-        assert sim.pending_events == len(sim._heap.live_events()) == 1
+        assert sim.pending_events == len(sim.live_events()) == 1
         assert sim.events_executed == 1
         sim.run()  # the survivor still fires, and the count reaches 0
         assert sim.pending_events == 0

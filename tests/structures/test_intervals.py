@@ -8,6 +8,22 @@ from repro.errors import SimulationError
 from repro.structures.intervals import FreeExtentMap
 
 
+def is_free(fmap, start, length):
+    """True when ``[start, start+length)`` lies inside one free interval."""
+    return any(
+        low <= start and start + length <= low + size
+        for low, size in fmap.intervals()
+    )
+
+
+def take_at(fmap, start, length):
+    """Allocate exactly ``[start, start+length)`` if it is free."""
+    if not is_free(fmap, start, length):
+        return False
+    assert fmap.take_up_to_from(start, length) == (start, length)
+    return True
+
+
 class TestAllocation:
     def test_initially_one_interval(self):
         fmap = FreeExtentMap(100)
@@ -21,14 +37,14 @@ class TestAllocation:
 
     def test_first_fit_skips_small_holes(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(0, 100)
+        take_at(fmap, 0, 100)
         fmap.release(0, 5)       # small hole at 0
         fmap.release(20, 50)     # big hole at 20
         assert fmap.take_first_fit(10, 1) == [20]
 
     def test_best_fit_takes_smallest_adequate(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(0, 100)
+        take_at(fmap, 0, 100)
         fmap.release(0, 30)
         fmap.release(50, 12)
         assert fmap.take_best_fit(10) == 50
@@ -36,7 +52,7 @@ class TestAllocation:
 
     def test_best_fit_tie_lowest_address(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(0, 100)
+        take_at(fmap, 0, 100)
         fmap.release(60, 10)
         fmap.release(20, 10)
         assert fmap.take_best_fit(10) == 20
@@ -48,16 +64,16 @@ class TestAllocation:
 
     def test_take_at_exact(self):
         fmap = FreeExtentMap(100)
-        assert fmap.take_at(40, 20)
-        assert not fmap.is_free(40, 1)
-        assert fmap.is_free(39, 1)
-        assert fmap.is_free(60, 1)
+        assert take_at(fmap, 40, 20)
+        assert not is_free(fmap, 40, 1)
+        assert is_free(fmap, 39, 1)
+        assert is_free(fmap, 60, 1)
         fmap.check_invariants()
 
     def test_take_at_occupied_fails(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(40, 20)
-        assert not fmap.take_at(45, 5)
+        take_at(fmap, 40, 20)
+        assert not take_at(fmap, 45, 5)
 
     def test_non_positive_requests_raise(self):
         fmap = FreeExtentMap(10)
@@ -72,7 +88,7 @@ class TestAllocation:
 class TestRelease:
     def test_release_coalesces_both_sides(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(0, 100)
+        take_at(fmap, 0, 100)
         fmap.release(0, 10)
         fmap.release(20, 10)
         fmap.release(10, 10)  # bridges the two
@@ -89,14 +105,14 @@ class TestRelease:
 
     def test_double_free_raises(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(10, 10)
+        take_at(fmap, 10, 10)
         fmap.release(10, 10)
         with pytest.raises(SimulationError):
             fmap.release(10, 10)
 
     def test_overlapping_free_raises(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(10, 20)
+        take_at(fmap, 10, 20)
         fmap.release(10, 10)
         with pytest.raises(SimulationError):
             fmap.release(15, 10)
@@ -154,30 +170,30 @@ class TestTakeUpToFrom:
         fmap = FreeExtentMap(100)
         start, taken = fmap.take_up_to_from(40, 10)
         assert (start, taken) == (40, 10)
-        assert fmap.is_free(0, 40)
-        assert not fmap.is_free(40, 10)
+        assert is_free(fmap, 0, 40)
+        assert not is_free(fmap, 40, 10)
 
     def test_clamps_to_interval_end(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(50, 50)
+        take_at(fmap, 50, 50)
         start, taken = fmap.take_up_to_from(45, 20)
         assert (start, taken) == (45, 5)  # only 5 free before the wall
 
     def test_skips_to_next_interval(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(10, 20)  # hole-free zone 10..30 allocated
+        take_at(fmap, 10, 20)  # hole-free zone 10..30 allocated
         start, taken = fmap.take_up_to_from(10, 5)
         assert start == 30
 
     def test_wraps_to_zero(self):
         fmap = FreeExtentMap(100)
-        fmap.take_at(50, 50)
+        take_at(fmap, 50, 50)
         start, taken = fmap.take_up_to_from(80, 10)
         assert start == 0  # nothing at/after 80: wrap
 
     def test_none_when_nothing_free(self):
         fmap = FreeExtentMap(10)
-        fmap.take_at(0, 10)
+        take_at(fmap, 0, 10)
         assert fmap.take_up_to_from(0, 1) is None
 
     def test_invalid_length_raises(self):
@@ -218,7 +234,7 @@ def free_layouts(draw):
 
 def build(layout) -> FreeExtentMap:
     fmap = FreeExtentMap(CAPACITY)
-    fmap.take_at(0, CAPACITY)
+    take_at(fmap, 0, CAPACITY)
     for start, length in layout:
         fmap.release(start, length)
     return fmap
@@ -322,7 +338,7 @@ def test_invariants_hold_after_every_carve(script):
             if piece is not None:
                 live.append(piece)
         elif action == "at":
-            if fmap.take_at(position, min(size, CAPACITY - position)):
+            if take_at(fmap, position, min(size, CAPACITY - position)):
                 live.append((position, min(size, CAPACITY - position)))
         elif live:
             fmap.release(*live.pop(position % len(live)))

@@ -15,7 +15,6 @@ class TestPublicApi:
         assert callable(repro.run_allocation_experiment)
         assert callable(repro.run_performance_experiment)
         assert callable(repro.figure6)
-        assert callable(repro.table3_buddy)
         assert callable(repro.grow_factor_ablation)
 
     def test_policy_configs_constructible(self):

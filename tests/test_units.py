@@ -9,7 +9,6 @@ from repro.units import (
     MIB,
     ceil_div,
     format_size,
-    is_power_of_two,
     next_power_of_two,
     parse_size,
 )
@@ -69,13 +68,6 @@ class TestMath:
     def test_ceil_div_bad_denominator(self):
         with pytest.raises(ConfigurationError):
             ceil_div(1, 0)
-
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(4096)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(12)
-        assert not is_power_of_two(-4)
 
     def test_next_power_of_two(self):
         assert next_power_of_two(0) == 1

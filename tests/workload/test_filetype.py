@@ -77,12 +77,6 @@ class TestDerived:
     def test_event_rate_zero_process_time(self):
         assert make_type(process_time_ms=0.0).event_rate == 2.0
 
-    def test_expected_bytes(self):
-        assert make_type().expected_bytes == 10 * 8192
-
-    def test_with_files(self):
-        assert make_type().with_files(99).n_files == 99
-
     def test_scaled_sizes(self):
         scaled = make_type().scaled_sizes(0.5)
         assert scaled.initial_size_bytes == 4096
