@@ -99,11 +99,6 @@ class InvariantAuditor:
         self.injector = None
         self.ledger = None
         self._rng_seen: dict[str, int] = {}
-        #: Optional one-shot state mutation fired just before the given
-        #: executed-event index — the bisector's test harness uses this
-        #: to seed a deliberate single-event divergence.
-        self.perturb_at: int | None = None
-        self.perturb: Callable[[Any], None] | None = None
 
     # -- wiring --------------------------------------------------------------
 
@@ -148,11 +143,6 @@ class InvariantAuditor:
         """Called by the run loop after every executed event."""
         self.event_index += 1
         index = self.event_index
-        if self.perturb_at is not None and index == self.perturb_at:
-            perturb, self.perturb = self.perturb, None
-            self.perturb_at = None
-            if perturb is not None:
-                perturb(sim)
         now = sim.now
         if now < self._last_time:
             raise InvariantViolation(

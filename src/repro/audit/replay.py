@@ -28,17 +28,12 @@ __all__ = ["performance_replay"]
 def performance_replay(
     config,
     simulator_factory: Callable[[], Simulator] | None = None,
-    perturb_at: int | None = None,
-    perturb: Callable[[Any], None] | None = None,
     **experiment_kwargs: Any,
 ) -> Replay:
     """A :data:`~repro.audit.bisect.Replay` over one performance config.
 
     Each call of the returned callback replays the full experiment under
     the given audit configuration and returns the auditor that rode it.
-    ``perturb_at``/``perturb`` seed a deliberate one-shot state mutation
-    just before that executed-event index — the bisector's self-test
-    uses it to plant a divergence at a known event.
 
     Args:
         config: the :class:`~repro.core.configs.ExperimentConfig` to run.
@@ -52,7 +47,6 @@ def performance_replay(
 
     def replay(audit: AuditConfig) -> InvariantAuditor:
         built: list[Simulator] = []
-        armed: list[bool] = []
 
         def factory() -> Simulator:
             sim = (
@@ -61,20 +55,6 @@ def performance_replay(
                 else simulator_factory()
             )
             built.append(sim)
-            if perturb_at is not None:
-                # The auditor is created *inside* the experiment, after
-                # the factory returns; intercept the first run() call —
-                # by then it is attached, and no event has executed yet.
-                original_run = sim.run
-
-                def run_armed(*args: Any, **kwargs: Any):
-                    if not armed and sim.auditor is not None:
-                        armed.append(True)
-                        sim.auditor.perturb_at = perturb_at
-                        sim.auditor.perturb = perturb
-                    return original_run(*args, **kwargs)
-
-                sim.run = run_armed
             return sim
 
         run_performance_experiment(

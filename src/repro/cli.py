@@ -336,8 +336,8 @@ def _package_times(stats: pstats.Stats) -> dict[str, dict[str, float]]:
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one performance-experiment point under cProfile.
 
-    Prints the scheduler counters (events/sec, pending, lazy-compaction
-    count), cProfile's self time summed by ``repro`` package (see
+    Prints the scheduler counters (events executed, events/sec, events
+    still pending at the cap), cProfile's self time summed by ``repro`` package (see
     :func:`_package_times`), and its hottest functions.  cProfile
     charges its per-call overhead to whichever layer makes the calls,
     so call-heavy layers read high (on a TS point ``alloc`` reads about

@@ -419,6 +419,19 @@ class ExperimentConfig:
         fill = self.fill_fraction  # profiles.build_profile's rule
         is_number = _is_int(fill) or isinstance(fill, float)
         _check(is_number and 0 < fill <= 1, "fill_fraction", "a number in (0, 1]", fill)
+        organization = self.system.organization
+        if (
+            organization == "parity-striped"
+            and self.faults is not None
+            and self.faults.failures
+        ):
+            # Its concatenated data layout never consults a drive's
+            # fault state, so a "failed" drive would keep serving.
+            raise ConfigurationError(
+                f"faults: the {organization} organization does not model "
+                "whole-drive failures (fail:); slow: and transient: "
+                "clauses are still accepted"
+            )
 
     def describe(self) -> str:
         """One-line run description for logs and reports."""

@@ -25,7 +25,7 @@ from ..audit.invariants import AuditConfig, InvariantAuditor
 from ..errors import ConfigurationError, DiskFullError
 from ..fault.injector import FaultInjector, FaultSummary
 from ..fs.filesystem import FileSystem
-from ..obs.metrics import SEEK_DISTANCE_EDGES, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import emit, progress_frame, telemetry_enabled
 from ..obs.tracer import TraceData, Tracer, drive_lane
 from ..sim.engine import Simulator
@@ -369,28 +369,6 @@ def collect_metrics_snapshot(
     }
 
 
-def _attach_observability(sim: Simulator, array) -> None:
-    """Wire an attached tracer/registry into the built disk system."""
-    tracer = sim.tracer
-    if tracer is not None:
-        for drive in array.drives:
-            tracer.name_lane(
-                drive_lane(drive.index),
-                f"drive {drive.index} ({drive.geometry.name})",
-            )
-        tracer.observe_faults()
-    metrics = sim.metrics
-    if metrics is not None:
-        metrics.observe_faults(sim)
-
-        def seek_sink(distance, seek_ms, _observe=metrics.observe):
-            _observe("disk.seek_distance_cyl", distance, SEEK_DISTANCE_EDGES)
-            _observe("disk.seek_ms_dist", seek_ms)
-
-        for drive in array.drives:
-            drive.drive.obs_sink = seek_sink
-
-
 def run_performance_experiment(
     config: ExperimentConfig,
     app_cap_ms: float = DEFAULT_APP_CAP_MS,
@@ -448,12 +426,16 @@ def run_performance_experiment(
         gc.disable()
     try:
         sim = Simulator() if simulator_factory is None else simulator_factory()
-        if collect_trace:
-            sim.tracer = Tracer(sim)
         if collect_metrics:
             sim.metrics = MetricsRegistry()
         array = config.system.build_array(sim)
-        _attach_observability(sim, array)
+        if collect_trace:
+            tracer = sim.tracer = Tracer(sim)
+            for drive in array.drives:
+                tracer.name_lane(
+                    drive_lane(drive.index),
+                    f"drive {drive.index} ({drive.geometry.name})",
+                )
         injector = None
         if config.faults is not None and not config.faults.empty:
             injector = FaultInjector(sim, array, config.faults, seed=config.seed)

@@ -19,6 +19,10 @@ sizes) and keeps the arithmetic in :meth:`service`/:meth:`start_angle`
 expression-for-expression identical to the naive formulation, which keeps
 simulated results bit-identical while avoiding the repeated property
 lookups and seek-model recomputation.
+
+The drive records nothing itself: its head position is public
+(``head_cylinder``), so the queue in front of it observes seek
+distances when a metrics registry is attached.
 """
 
 from __future__ import annotations
@@ -39,12 +43,6 @@ class DiskDrive:
     def __init__(self, geometry: DiskGeometry) -> None:
         self.geometry = geometry
         self.head_cylinder = 0
-        #: Optional observability sink called as ``obs_sink(cylinders,
-        #: seek_ms)`` once per serviced request.  ``None`` (the default)
-        #: keeps :meth:`service` on its unobserved fast path — only the
-        #: drive knows the head position, so seek-distance distributions
-        #: must be tapped here rather than in the queue layer.
-        self.obs_sink = None
         # Cylinder skew, as a fraction of a revolution.
         self._cylinder_skew = (
             geometry.seek_time(1) / geometry.rotation_ms
@@ -139,9 +137,6 @@ class DiskDrive:
             else self.head_cylinder - target_cylinder
         )
         seek = self._seek_table[distance]
-        obs = self.obs_sink
-        if obs is not None:
-            obs(distance, seek)
         arrival = start_time + seek
         target_angle = self.start_angle(start_byte)
         rotation_fraction = (

@@ -17,8 +17,10 @@ becomes a span tree on the drive's trace lane — ``disk.read``/``disk.write``
 (submit to completion) with a ``disk.queue`` child (submit to service
 start) and a ``disk.service`` child (service start to completion, with the
 seek/rotation/transfer breakdown in its args).  When it carries a metrics
-registry, queue-wait and service latencies land in fixed-bucket histograms
-and the seek/rotation/transfer split accumulates in float totals.  Both
+registry, queue-wait and service latencies land in fixed-bucket histograms,
+as do each request's seek distance (read off the drive's head position
+before service moves it) and seek time (before fault scaling), and the
+seek/rotation/transfer split accumulates in float totals.  Both
 are guarded by ``is not None`` checks, record at times the queue already
 computes, and schedule nothing — the served event sequence is identical
 with or without them.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import InvalidRequestError, SimulationError
-
+from ..obs.metrics import SEEK_DISTANCE_EDGES
 from ..sim.engine import Simulator, Waitable
 from .drive import DiskDrive
 from .geometry import DiskGeometry
@@ -146,7 +148,21 @@ class QueuedDrive:
         else:
             request, completion, submitted_at, spans = self._queue.popleft()
         now = sim.now
-        breakdown = self.drive.service(request, now)
+        drive = self.drive
+        metrics = sim.metrics
+        if metrics is not None:
+            # The head position before service() moves it, and the seek
+            # time before _apply_faults scales it.
+            head = drive.head_cylinder
+            breakdown = drive.service(request, now)
+            metrics.observe(
+                "disk.seek_distance_cyl",
+                abs(drive.cylinder_of(request.start_byte) - head),
+                SEEK_DISTANCE_EDGES,
+            )
+            metrics.observe("disk.seek_ms_dist", breakdown.seek_ms)
+        else:
+            breakdown = drive.service(request, now)
         faults = self.fault_state
         retried = False
         if faults is not None:
@@ -161,7 +177,6 @@ class QueuedDrive:
         if spans is not None:
             rspan, qspan = spans
             self.sim.tracer.end(qspan)
-        metrics = sim.metrics
         if metrics is not None:
             metrics.observe("disk.queue_wait_ms", now - submitted_at)
             metrics.add("disk.seek_ms", breakdown.seek_ms)

@@ -20,6 +20,12 @@ every degraded/healthy transition, attributing each simulated interval's
 traffic to the mode it ran under.  Rebuild traffic is counted separately
 (``rebuild_bytes``) and excluded from the degraded-mode number, so
 ``degraded_percent_of_healthy`` compares *foreground* service rates.
+
+Observability: each of the five state flips (``disk-failure``,
+``rebuild-start``, ``drive-restored``, ``slowdown-start``,
+``slowdown-end``) is recorded where it happens, as an instant on the
+drive's trace lane when ``sim.tracer`` is attached and as a
+``fault.<kind>`` counter when ``sim.metrics`` is.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import math
 from dataclasses import dataclass
 
 from ..errors import FaultError
-from ..sim.engine import FaultEvent, Simulator
+from ..obs.tracer import drive_lane
+from ..sim.engine import Simulator
 from ..sim.rng import RandomStream
 from .plan import ALL_DRIVES, FaultSpec
 
@@ -252,7 +259,7 @@ class FaultInjector:
         state.status = "failed"
         state.failures += 1
         self._mark_unavailable(index)
-        sim.emit_fault(FaultEvent("disk-failure", index, sim.now))
+        self._record(sim, "disk-failure", index)
 
     def _repair_drive(self, sim: Simulator, index: int) -> None:
         state = self.states[index]
@@ -267,7 +274,7 @@ class FaultInjector:
             self._drive_back(sim, index)
         else:
             state.status = "rebuilding"
-            sim.emit_fault(FaultEvent("rebuild-start", index, sim.now))
+            self._record(sim, "rebuild-start", index)
             sim.process(
                 self._run_rebuild(index, rebuild), name=f"rebuild/d{index}"
             )
@@ -282,16 +289,26 @@ class FaultInjector:
         state.status = "healthy"
         state.available = True
         self._mark_available(index)
-        sim.emit_fault(FaultEvent("drive-restored", index, sim.now))
+        self._record(sim, "drive-restored", index)
 
     def _slow_start(self, sim: Simulator, index: int, factor: float) -> None:
         self.states[index].push_slow(factor)
         self.slowdowns_applied += 1
-        sim.emit_fault(FaultEvent("slowdown-start", index, sim.now))
+        self._record(sim, "slowdown-start", index)
 
     def _slow_end(self, sim: Simulator, index: int, factor: float) -> None:
         self.states[index].pop_slow(factor)
-        sim.emit_fault(FaultEvent("slowdown-end", index, sim.now))
+        self._record(sim, "slowdown-end", index)
+
+    def _record(self, sim: Simulator, kind: str, index: int) -> None:
+        """Record one state flip as an instant on the drive's trace lane
+        and as a ``fault.<kind>`` count, for whichever is attached."""
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.instant(kind, "fault", drive_lane(index))
+        metrics = sim.metrics
+        if metrics is not None:
+            metrics.incr(f"fault.{kind}")
 
     # -- degraded-window accounting ---------------------------------------
 

@@ -6,9 +6,10 @@ tracer).  It *extends* the bookkeeping the simulator already does — the
 per-drive request, byte and busy-time counters, the workload driver's
 per-operation tallies, the allocator's request counts, the fault
 injector's window meters — rather than duplicating it: subsystems record
-only what no existing counter captures (queue-wait and service latency
-distributions at fixed bucket edges, degraded-window transitions, seek
-distances), and the
+only what no existing counter captures, each at its own site behind an
+``is not None`` check.  The drive queue records queue-wait and service
+latency distributions and each request's seek distance and seek time;
+the fault injector counts its state flips as ``fault.<kind>``.  The
 experiment layer folds both sources into one snapshot dict at the end of
 a run (see ``repro.core.experiments.collect_metrics_snapshot``).
 
@@ -85,15 +86,6 @@ class MetricsRegistry:
                 edges if edges is not None else DEFAULT_LATENCY_EDGES
             )
         hist.add(value)
-
-    # -- fault transitions -------------------------------------------------
-
-    def observe_faults(self, sim) -> None:
-        """Count degraded-window transitions via the engine's fault hook."""
-        sim.on_fault(self._on_fault)
-
-    def _on_fault(self, sim, event) -> None:
-        self.incr(f"fault.{event.kind}")
 
     # -- snapshots ---------------------------------------------------------
 

@@ -30,6 +30,11 @@ Span *ends* are recorded when the owning generator resumes or a
 completion callback fires — both happen at the exact simulated time the
 activity finished, so no extra engine events are needed and
 ``events_executed`` is identical with tracing on or off.
+
+*Instants* mark state flips with no duration.  Their one source is the
+fault injector, which records each drive failure, rebuild start,
+restore and slowdown edge on the affected drive's lane, in the callback
+that makes the flip.
 """
 
 from __future__ import annotations
@@ -166,21 +171,13 @@ class Tracer:
         self.spans.append(span)
         return span
 
+    def instant(self, name: str, cat: str, tid: int) -> None:
+        """Record a zero-length event at the current simulated time."""
+        self.instants.append((name, cat, tid, self.sim.now, None))
+
     def name_lane(self, tid: int, name: str) -> None:
         """Label a trace lane (rendered as a thread name in Perfetto)."""
         self.lanes[tid] = name
-
-    # -- fault instants ----------------------------------------------------
-
-    def observe_faults(self) -> None:
-        """Subscribe to the simulator's fault hook: every injected state
-        flip becomes an instant event on the affected drive's lane."""
-        self.sim.on_fault(self._on_fault)
-
-    def _on_fault(self, sim, event) -> None:
-        self.instants.append(
-            (event.kind, "fault", drive_lane(event.drive), event.time_ms, None)
-        )
 
     # -- freezing ----------------------------------------------------------
 

@@ -38,6 +38,11 @@ Determinism guarantee: events fire in strictly nondecreasing
 ``Simulator(immediate_queue=False)`` to fall back to the reference
 pure-heap scheduler, which fires the exact same events in the exact same
 order.
+
+The engine knows nothing of the layers above it.  Observers attach as
+plain slots (``tracer``, ``metrics``, ``meter``, ``auditor``) that the
+subsystems consult at their own recording sites; there is no
+subscription mechanism, and only the auditor touches the run loop.
 """
 
 from __future__ import annotations
@@ -50,32 +55,6 @@ from typing import Any, Callable, Generator
 from ..errors import SimulationError
 
 ProcessGenerator = Generator["Waitable | float | int", Any, Any]
-
-
-class FaultEvent:
-    """One fault-injection state change, as seen through the engine hook.
-
-    The fault subsystem (:mod:`repro.fault`) publishes these via
-    :meth:`Simulator.emit_fault` whenever a drive fails, slows, recovers,
-    or a rebuild starts — so meters, reports, and tests can observe the
-    injection timeline without coupling to the injector's internals.
-
-    Attributes:
-        kind: ``"disk-failure"``, ``"rebuild-start"``,
-            ``"drive-restored"``, ``"slowdown-start"``, ``"slowdown-end"``.
-        drive: index of the affected drive in the disk system.
-        time_ms: simulated time the change took effect.
-    """
-
-    __slots__ = ("kind", "drive", "time_ms")
-
-    def __init__(self, kind: str, drive: int, time_ms: float) -> None:
-        self.kind = kind
-        self.drive = drive
-        self.time_ms = time_ms
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<FaultEvent {self.kind} d{self.drive} @{self.time_ms:g}ms>"
 
 
 class Waitable:
@@ -265,9 +244,6 @@ class Simulator:
         #: per-event stop check, where it sweeps invariants and
         #: fingerprints.
         self.auditor = None
-        #: Fault-hook subscribers (see :meth:`on_fault`); empty for every
-        #: fault-free simulation, so the hot path never touches them.
-        self._fault_hooks: list[Callable[["Simulator", FaultEvent], None]] = []
 
     # -- scheduling -------------------------------------------------------
 
@@ -326,23 +302,6 @@ class Simulator:
         process = Process(generator, name)
         self.schedule_immediate(process._start)
         return process
-
-    # -- fault hooks ------------------------------------------------------
-
-    def on_fault(self, callback: Callable[["Simulator", FaultEvent], None]) -> None:
-        """Subscribe ``callback(sim, event)`` to fault-injection events.
-
-        The engine itself never emits faults; :mod:`repro.fault` publishes
-        through :meth:`emit_fault` as its injected failures, slowdowns,
-        and rebuilds take effect.  Subscribing is free for fault-free
-        runs (the list stays empty and is never consulted per event).
-        """
-        self._fault_hooks.append(callback)
-
-    def emit_fault(self, event: FaultEvent) -> None:
-        """Deliver a fault event to every subscriber, synchronously."""
-        for callback in self._fault_hooks:
-            callback(self, event)
 
     def timeout(self, delay: float) -> Waitable:
         """A waitable that succeeds after ``delay`` ms (alternative to yielding a float)."""

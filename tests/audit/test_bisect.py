@@ -13,6 +13,8 @@ from repro.audit.bisect import DivergenceReport, compare_timelines
 from repro.audit.replay import performance_replay
 from repro.errors import ReproError
 
+from .perturb import perturbed
+
 CAPS = dict(app_cap_ms=600.0, seq_cap_ms=600.0)
 
 
@@ -80,8 +82,8 @@ class TestEndToEnd:
             busiest.uniform(0.0, 1.0)
 
         replay_a = performance_replay(small_config(), **CAPS)
-        replay_b = performance_replay(
-            small_config(), perturb_at=2_500, perturb=burn_one_draw, **CAPS
+        replay_b = perturbed(
+            performance_replay(small_config(), **CAPS), 2_500, burn_one_draw
         )
         report = bisect_divergence(
             replay_a, replay_b, cadence=1_000, fine_limit=32

@@ -22,6 +22,8 @@ from repro.core.experiments import run_performance_experiment
 from repro.errors import InvariantViolation, ReproError
 from repro.units import KIB
 
+from .perturb import perturbed
+
 CAPS = dict(app_cap_ms=600.0, seq_cap_ms=600.0)
 
 
@@ -112,8 +114,8 @@ class TestCorruptionDetection:
     """Seed a deliberate mid-run corruption; the next sweep must raise."""
 
     def corrupt(self, perturb, expected_subsystem):
-        replay = performance_replay(
-            small_config(), perturb_at=2_000, perturb=perturb, **CAPS
+        replay = perturbed(
+            performance_replay(small_config(), **CAPS), 2_000, perturb
         )
         with pytest.raises(InvariantViolation) as info:
             replay(AuditConfig(cadence_events=500))

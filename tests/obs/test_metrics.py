@@ -7,7 +7,10 @@ from repro.obs.metrics import (
     SEEK_DISTANCE_EDGES,
     MetricsRegistry,
 )
-from repro.sim.engine import FaultEvent, Simulator
+from repro.disk.array import StripedArray
+from repro.disk.geometry import TINY_DISK
+from repro.fault import FaultInjector, parse_fault_spec
+from repro.sim.engine import Simulator
 from repro.sim.stats import FixedHistogram
 
 
@@ -107,12 +110,19 @@ class TestMetricsRegistry:
         assert list(snap["counters"]) == ["a", "b"]
         json.dumps(snap)  # must not raise
 
-    def test_observe_faults_counts_transitions(self):
+    def test_injector_counts_fault_transitions(self):
         sim = Simulator()
-        metrics = MetricsRegistry()
-        metrics.observe_faults(sim)
-        sim.emit_fault(FaultEvent("disk-failure", 0, 0.0))
-        sim.emit_fault(FaultEvent("rebuild-start", 0, 1.0))
-        sim.emit_fault(FaultEvent("disk-failure", 1, 2.0))
-        assert metrics.counters["fault.disk-failure"] == 2
-        assert metrics.counters["fault.rebuild-start"] == 1
+        metrics = sim.metrics = MetricsRegistry()
+        array = StripedArray(sim, TINY_DISK, 4, 8192, 4096)
+        spec = parse_fault_spec(
+            "fail:drive=0,at=0,repair=1;fail:drive=1,at=2;"
+            "slow:drive=2,at=0,factor=2,for=5"
+        )
+        FaultInjector(sim, array, spec)
+        sim.run()
+        assert metrics.counters == {
+            "fault.disk-failure": 2,
+            "fault.drive-restored": 1,
+            "fault.slowdown-start": 1,
+            "fault.slowdown-end": 1,
+        }

@@ -10,7 +10,10 @@ from repro.obs.tracer import (
     Tracer,
     drive_lane,
 )
-from repro.sim.engine import FaultEvent, Simulator
+from repro.disk.array import StripedArray
+from repro.disk.geometry import TINY_DISK
+from repro.fault import DiskFailure, FaultInjector, FaultSpec
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture
@@ -88,21 +91,22 @@ class TestFreeze:
 
 
 class TestFaultInstants:
-    def test_fault_events_become_instants(self, sim):
-        tracer = Tracer(sim)
-        tracer.observe_faults()
-        sim.schedule(
-            2.0,
-            lambda s: s.emit_fault(FaultEvent("disk-failure", 3, s.now)),
-        )
+    @staticmethod
+    def fail_drive_3_at_2ms(sim):
+        array = StripedArray(sim, TINY_DISK, 4, 8192, 4096)
+        FaultInjector(sim, array, FaultSpec(failures=(DiskFailure(2.0, 3),)))
         sim.run()
+
+    def test_fault_events_become_instants(self, sim):
+        tracer = sim.tracer = Tracer(sim)
+        self.fail_drive_3_at_2ms(sim)
         assert tracer.freeze().instants == [
             ("disk-failure", "fault", drive_lane(3), 2.0, None)
         ]
 
     def test_unsubscribed_tracer_records_nothing(self, sim):
-        tracer = Tracer(sim)
-        sim.emit_fault(FaultEvent("disk-failure", 0, 0.0))
+        tracer = Tracer(sim)  # never attached as sim.tracer
+        self.fail_drive_3_at_2ms(sim)
         assert tracer.instants == []
 
 

@@ -205,6 +205,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=fragment):
             spec_to_task(spec)
 
+    def test_parity_striped_rejects_drive_failures_only(self):
+        spec = self.base_spec()
+        spec["system"]["organization"] = "parity-striped"
+        spec["faults"] = "fail:drive=0,at=500"
+        with pytest.raises(
+            ConfigurationError,
+            match="parity-striped organization does not model whole-drive "
+            "failures",
+        ):
+            spec_to_task(spec)
+        spec["faults"] = "slow:drive=0,at=0,factor=2;transient:rate=0.01"
+        assert spec_to_task(spec).config.faults.failures == ()
+
     def test_non_object_spec_is_rejected(self):
         with pytest.raises(ConfigurationError, match="expected an object"):
             spec_to_task([1, 2, 3])

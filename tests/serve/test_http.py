@@ -233,6 +233,20 @@ class TestSubmission:
         )
         assert status == 200 and body["status"] == "done"
 
+    def test_parity_striped_failure_maps_to_400(self, shared_server):
+        bad = spec_for(
+            16,
+            system={"scale": 0.02, "organization": "parity-striped"},
+            faults="fail:drive=0,at=500",
+        )
+        status, _, body = shared_server.request("/v1/experiments", {"spec": bad})
+        assert status == 400
+        assert body["error"] == (
+            "faults: the parity-striped organization does not model "
+            "whole-drive failures (fail:); slow: and transient: clauses "
+            "are still accepted"
+        )
+
     @pytest.mark.parametrize(
         "field",
         [

@@ -372,17 +372,6 @@ class TestAuditedRun:
         sim.run()
         assert auditor.event_index == sim.events_executed == 51
 
-    def test_perturb_at_fires_at_its_event(self):
-        sim = Simulator()
-        auditor = _quiet_auditor().attach(sim)
-        fired = []
-        auditor.perturb_at = 12
-        auditor.perturb = lambda s: fired.append(s.events_executed)
-        _schedule_pinger(sim, [])
-        sim.run()
-        assert fired == [12]
-        assert auditor.perturb_at is None
-
     def test_events_executed_is_live_inside_callbacks(self):
         sim = Simulator()
         seen = []

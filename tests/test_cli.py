@@ -68,6 +68,19 @@ class TestParser:
         assert main(["perf", "--organization", "raid7", "--no-cache"]) == 2
         assert "unknown organization 'raid7'" in capsys.readouterr().err
 
+    def test_faults_rejects_parity_striped_failures(self, capsys):
+        code = main(
+            ["faults", "--organization", "parity-striped", "--no-cache"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "parity-striped organization does not model whole-drive failures"
+            in captured.err
+        )
+        assert "slow: and transient:" in captured.err
+
     def test_faults_defaults(self):
         args = build_parser().parse_args(["faults"])
         assert args.organization == "raid5"

@@ -14,7 +14,7 @@ trace; the test suite imports :func:`validate_trace` directly):
 
 Usage::
 
-    python tools/check_trace.py trace.json
+    python tools/check_trace.py trace.json [--min-spans N] [--min-instants N]
 """
 
 from __future__ import annotations
@@ -126,6 +126,13 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="fail if the trace has fewer complete spans than this",
     )
+    parser.add_argument(
+        "--min-instants",
+        type=int,
+        default=0,
+        help="fail if the trace has fewer instant events (fault flips) "
+        "than this",
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -138,6 +145,11 @@ def main(argv: list[str] | None = None) -> int:
         if counts["spans"] < args.min_spans:
             raise TraceError(
                 f"only {counts['spans']} span(s), expected >= {args.min_spans}"
+            )
+        if counts["instants"] < args.min_instants:
+            raise TraceError(
+                f"only {counts['instants']} instant(s), expected >= "
+                f"{args.min_instants}"
             )
     except TraceError as exc:
         print(f"check_trace: INVALID: {exc}", file=sys.stderr)
