@@ -340,11 +340,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     still pending at the cap), cProfile's self time summed by ``repro`` package (see
     :func:`_package_times`), and its hottest functions.  cProfile
     charges its per-call overhead to whichever layer makes the calls,
-    so call-heavy layers read high (on a TS point ``alloc`` reads about
-    55 % here against 23 % in the traced pass of ``benchmarks/e2e``,
-    which stays the record for layer shares).  This is a diagnostic
-    command — output contains wall-clock timings and is not byte-stable
-    between runs.
+    so call-heavy layers read high (on a TS buddy point at scale 0.25
+    ``alloc`` reads about 27 % here against about 21 % in the traced
+    ``fig6_ts`` pass of ``benchmarks/e2e``, which stays the record for
+    layer shares).  This
+    is a diagnostic command — output contains wall-clock timings and is
+    not byte-stable between runs.
     """
     task = spec_to_task(spec_from_args(args))
     config = task.config

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 
 from ..errors import ConfigurationError, DataUnavailableError, InvalidRequestError
-from ..sim.engine import AllOf, Simulator, Waitable
+from ..sim.engine import Simulator, Waitable, join
 from .geometry import DiskGeometry
 from .queue import QueuedDrive
 from .request import DiskRequest, IoKind
@@ -233,12 +233,12 @@ class StripedArray(DiskSystem):
                     f"drive {drive_index} is offline and the striped array "
                     f"has no redundancy to mask it"
                 )
-        completions: list[Waitable] = []
-        for drive_index, start_byte, length in runs:
-            completions.append(
+        return join(
+            [
                 drives[drive_index].submit(DiskRequest(kind, start_byte, length))
-            )
-        return AllOf(completions)
+                for drive_index, start_byte, length in runs
+            ]
+        )
 
 
 class ConcatArray(DiskSystem):
@@ -289,4 +289,4 @@ class ConcatArray(DiskSystem):
             completions.append(self.drives[drive_index].submit(request))
             byte += chunk
             remaining -= chunk
-        return AllOf(completions)
+        return join(completions)

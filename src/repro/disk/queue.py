@@ -19,8 +19,11 @@ start) and a ``disk.service`` child (service start to completion, with the
 seek/rotation/transfer breakdown in its args).  When it carries a metrics
 registry, queue-wait and service latencies land in fixed-bucket histograms,
 as do each request's seek distance (read off the drive's head position
-before service moves it) and seek time (before fault scaling), and the
-seek/rotation/transfer split accumulates in float totals.  Both
+before service moves it) and served seek time, and the served
+seek/rotation/transfer split accumulates in float totals.  "Served"
+means after fault scaling: a slowed drive's seek counts at its slowed
+length in the ``disk.seek_ms_dist`` histogram and the ``disk.seek_ms``
+total alike, so the histogram's sum is the total.  Both
 are guarded by ``is not None`` checks, record at times the queue already
 computes, and schedule nothing — the served event sequence is identical
 with or without them.
@@ -151,8 +154,7 @@ class QueuedDrive:
         drive = self.drive
         metrics = sim.metrics
         if metrics is not None:
-            # The head position before service() moves it, and the seek
-            # time before _apply_faults scales it.
+            # The head position before service() moves it.
             head = drive.head_cylinder
             breakdown = drive.service(request, now)
             metrics.observe(
@@ -160,7 +162,6 @@ class QueuedDrive:
                 abs(drive.cylinder_of(request.start_byte) - head),
                 SEEK_DISTANCE_EDGES,
             )
-            metrics.observe("disk.seek_ms_dist", breakdown.seek_ms)
         else:
             breakdown = drive.service(request, now)
         faults = self.fault_state
@@ -179,6 +180,9 @@ class QueuedDrive:
             self.sim.tracer.end(qspan)
         if metrics is not None:
             metrics.observe("disk.queue_wait_ms", now - submitted_at)
+            # The served seek: the histogram and the total both read the
+            # breakdown after _apply_faults, so their sums agree.
+            metrics.observe("disk.seek_ms_dist", breakdown.seek_ms)
             metrics.add("disk.seek_ms", breakdown.seek_ms)
             metrics.add("disk.rotation_ms", breakdown.rotation_ms)
             metrics.add("disk.transfer_ms", breakdown.transfer_ms)

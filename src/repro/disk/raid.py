@@ -29,7 +29,7 @@ A second concurrent failure raises
 from __future__ import annotations
 
 from ..errors import ConfigurationError, DataUnavailableError
-from ..sim.engine import AllOf, Simulator, Waitable
+from ..sim.engine import Simulator, Waitable, join
 from .array import ConcatArray, DiskSystem, StripedArray
 from .geometry import DiskGeometry
 from .request import DiskRequest, IoKind
@@ -100,7 +100,7 @@ class MirroredArray(DiskSystem):
         self._check_span(start_unit, n_units)
         if kind is IoKind.WRITE:
             if not self.degraded:
-                return AllOf(
+                return join(
                     [
                         self.primary.transfer(kind, start_unit, n_units),
                         self.secondary.transfer(kind, start_unit, n_units),
@@ -123,7 +123,7 @@ class MirroredArray(DiskSystem):
             completions.extend(
                 self._partial_transfer(self.secondary, kind, start_unit, n_units)
             )
-            return AllOf(completions)
+            return join(completions)
         # Reads alternate between copies; with equal geometry this halves
         # each copy's read queue without tracking queue depths per span.
         side = self.primary if self._read_toggle == 0 else self.secondary
@@ -249,7 +249,7 @@ class Raid5Array(DiskSystem):
             self._plan_in_row(plan, kind, row, row_offset, chunk)
             byte += chunk
             remaining -= chunk
-        return AllOf(
+        return join(
             [self.drives[drive].submit(request) for drive, request in plan]
         )
 
@@ -384,7 +384,7 @@ class Raid5Array(DiskSystem):
             position = 0
             while position < per_drive:
                 length = min(chunk, per_drive - position)
-                yield AllOf(
+                yield join(
                     [
                         d.submit(DiskRequest(IoKind.READ, position, length))
                         for d in survivors
@@ -455,4 +455,4 @@ class ParityStripedArray(DiskSystem):
                     DiskRequest(IoKind.WRITE, parity_byte, n_bytes)
                 )
             )
-        return AllOf(completions)
+        return join(completions)

@@ -26,7 +26,7 @@ from ..disk.array import DiskSystem
 from ..disk.request import IoKind
 from ..errors import DiskFullError, FileSystemError
 from ..obs.tracer import TID_FS
-from ..sim.engine import AllOf, Simulator
+from ..sim.engine import Simulator, join
 from ..units import ceil_div
 from .extmap import ExtentMap
 
@@ -245,7 +245,7 @@ class FileSystem:
                 # synchronous descent: reset it before suspending, so no
                 # unrelated callback adopts this span (see repro.obs.tracer).
                 tracer.context = 0
-            yield AllOf(waitables)
+            yield join(waitables)
         finally:
             if span is not None:
                 tracer.end(span)
@@ -290,7 +290,7 @@ class FileSystem:
             ]
             if span is not None:
                 tracer.context = 0  # suspending: see read()
-            yield AllOf(waitables)
+            yield join(waitables)
         finally:
             if span is not None:
                 tracer.end(span)

@@ -32,6 +32,12 @@ fires the smaller of the two fronts, so ``seq``'s uniqueness settles every
 comparison before it reaches the callback.  Scheduled events are never
 withdrawn: nothing in the model cancels one.
 
+Joins schedule nothing.  :func:`join` returns a lone waitable itself, and
+an :class:`AllOf` is counted down inside its children's
+:meth:`Waitable.succeed`, completing within the call of the last one.
+Only the waiting process's resume is queued, so a disk request costs its
+drive's completion plus that resume however many layers join it.
+
 Determinism guarantee: events fire in strictly nondecreasing
 ``(time, seq)`` order.  The immediate queue provably preserves that order
 — see ``docs/MODEL.md`` — and can be disabled with
@@ -61,9 +67,9 @@ class Waitable:
     """Something a process can wait on.
 
     A waitable succeeds exactly once, delivering ``value`` to every
-    registered callback.  Subclasses (disk request completions, processes
-    themselves) call :meth:`succeed` when their underlying activity
-    finishes.
+    registered callback and counting down every :class:`AllOf` that waits
+    on it.  Subclasses (disk request completions, processes themselves)
+    call :meth:`succeed` when their underlying activity finishes.
     """
 
     __slots__ = ("done", "value", "_waiters")
@@ -71,7 +77,7 @@ class Waitable:
     def __init__(self) -> None:
         self.done = False
         self.value: Any = None
-        self._waiters: list[Callable[["Simulator", Any], None]] = []
+        self._waiters: list[Callable[["Simulator", Any], None] | AllOf] = []
 
     def on_success(self, callback: Callable[["Simulator", Any], None]) -> None:
         """Register ``callback(sim, value)`` to run when this succeeds."""
@@ -80,7 +86,11 @@ class Waitable:
         self._waiters.append(callback)
 
     def succeed(self, sim: "Simulator", value: Any = None) -> None:
-        """Complete the waitable, resuming all waiters at the current time."""
+        """Complete the waitable, resuming all waiters at the current time.
+
+        Each callback is queued as an immediate event; each join is
+        counted down here and, on its last child, completed here too.
+        """
         if self.done:
             raise SimulationError("waitable completed twice")
         self.done = True
@@ -89,55 +99,65 @@ class Waitable:
         if waiters:
             push_immediate = sim._push_immediate
             now = sim.now
-            for callback in waiters:
-                push_immediate(now, callback, (value,))
+            for waiter in waiters:
+                if waiter.__class__ is AllOf:
+                    # A join counts down in place: no event of its own.
+                    remaining = waiter._remaining - 1
+                    waiter._remaining = remaining
+                    if remaining == 0:
+                        waiter.succeed(
+                            sim, [child.value for child in waiter._children]
+                        )
+                else:
+                    push_immediate(now, waiter, (value,))
 
 
 class AllOf(Waitable):
     """Succeeds when every child waitable has succeeded.
 
-    The value is the list of child values in construction order.  Used by
-    the disk array to join the per-disk pieces of a striped transfer: the
-    transfer completes when its slowest disk does.
+    The value is the list of child values in construction order.  Used to
+    join the per-drive pieces of a transfer: the transfer completes when
+    its slowest drive does.
+
+    A join schedules nothing: it sits in each pending child's waiter list,
+    and the child's :meth:`~Waitable.succeed` counts it down in place.  The
+    child that brings the count to zero completes the join inside that
+    same call, so the join's own waiters are queued at the same instant,
+    with no hop through the event queue.  The children list is kept, not
+    copied.
     """
 
-    __slots__ = ("_remaining", "_results")
+    __slots__ = ("_remaining", "_children")
 
     def __init__(self, waitables: "list[Waitable]") -> None:
-        # Inlined Waitable.__init__ plus direct waiter registration: a
-        # join is built for every disk transfer, so the construction path
-        # skips the superclass call and the on_success indirection (the
-        # done-check it performs is the branch below).
+        # Waitable.__init__ inlined: every multi-piece transfer builds one.
         self.done = False
         self.value = None
         self._waiters = []
-        results: list[Any] = [None] * len(waitables)
-        self._results = results
         remaining = 0
-        for index, waitable in enumerate(waitables):
-            if waitable.done:
-                results[index] = waitable.value
-            else:
+        for waitable in waitables:
+            if not waitable.done:
                 remaining += 1
-                waitable._waiters.append(self._make_child_callback(index))
+                waitable._waiters.append(self)
         self._remaining = remaining
+        self._children = waitables
         if remaining == 0:
             # Nothing outstanding: complete synchronously (no waiters can
             # exist yet, so no scheduling is needed).
             self.done = True
-            self.value = results
+            self.value = [waitable.value for waitable in waitables]
 
-    def _make_child_callback(self, index: int) -> Callable[["Simulator", Any], None]:
-        def child_done(sim: "Simulator", value: Any) -> None:
-            self._results[index] = value
-            self._remaining -= 1
-            if self._remaining == 0:
-                # The results list is handed over as-is: every slot is
-                # final once the join completes, so a defensive copy per
-                # transfer would buy nothing.
-                self.succeed(sim, self._results)
 
-        return child_done
+def join(waitables: "list[Waitable]") -> Waitable:
+    """Wait for every waitable in ``waitables``: the one join helper.
+
+    A lone waitable is returned as is, so a one-piece transfer is the
+    piece itself (its value is the piece's value, not a one-item list);
+    anything else is an :class:`AllOf`.
+    """
+    if len(waitables) == 1:
+        return waitables[0]
+    return AllOf(waitables)
 
 
 class Process(Waitable):

@@ -128,15 +128,15 @@ FAULT_KINDS = (
 OBSERVATION_PINS = {
     "striped": (
         "ece3c8c7c3017b74838f662c9feb3e73a4018a7fe0f7d8471833f78d6017a952",
-        "ada78b312017bc8682e987c70588ea7ac54c4523d05a20b06c6371b43ae3e67a",
+        "32648f598112a98a27f273c3b312bbaabbbf0c079285b2252995f0bab9ee78e0",
     ),
     "mirrored": (
         "d83f3e27919fe8da922d089cefdb83830b2476788be6e6399cf3c155979d31a8",
-        "fd44897b68349cba2951415d6ae8495922d99a77971901723713c16f96724427",
+        "d57025d8e179aab6fdf76328b751da89ac85761b65a8edf32fa3dd54330721b0",
     ),
     "raid5": (
         "213877429ba914736708245ef5b9a247421b8ba88a8f0a7ee8a921b16307b44a",
-        "acaa0890ffc7f53a1705a7f9c08fd15dc3a972457eef1aa6d0a442b535c2a3b1",
+        "cbc42fac0bcc9c2912db4b2a6d32a29dcfa1db36387c8ca63c0b95ed5305ff03",
     ),
 }
 
@@ -180,6 +180,22 @@ class TestObservationPins:
             assert served == 2_967
         for name in ("disk.seek_distance_cyl", "disk.seek_ms_dist"):
             assert sum(histograms[name]["counts"]) == served
+
+    def test_seek_histogram_sums_to_the_served_seek_total(self):
+        # A drive slowed from the start: every one of its seeks is served
+        # at twice its length, and both series must count it that way.
+        cfg = ExperimentConfig(
+            policy=FixedPolicy(),
+            workload="TS",
+            system=SystemConfig(scale=0.02),
+            seed=7,
+            faults=parse_fault_spec("slow:drive=0,at=0,factor=2"),
+        )
+        metrics = run(cfg, collect_metrics=True).metrics
+        histogram = metrics["histograms"]["disk.seek_ms_dist"]
+        total = metrics["totals"]["disk.seek_ms"]
+        assert total > 0
+        assert histogram["sum"] == pytest.approx(total, rel=1e-12)
 
     def test_checker_gates_on_instant_count(self, tmp_path, capsys):
         path = tmp_path / "trace.json"

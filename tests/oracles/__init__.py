@@ -10,6 +10,9 @@ answers define correctness for the production code they mirror.
 * :mod:`.dll` — the paper's sorted circular doubly-linked free list it
   is built on.
 * :mod:`.bitmap` — its bitmap over maximum-size blocks.
+* :mod:`.join` — the closure-per-child join
+  (:func:`~tests.oracles.join.closure_join`), the differential oracle
+  for :func:`repro.sim.engine.join`.
 
 Alongside them, :mod:`.profiles` holds ``mini``, a small mixed workload
 the driver tests run on.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.audit.invariants import AuditConfig, InvariantAuditor
 from repro.errors import SimulationError
-from repro.sim.engine import AllOf, Simulator, Waitable
+from repro.sim.engine import AllOf, Simulator, Waitable, join
 
 
 def make_callback(log, tag):
@@ -240,6 +240,53 @@ class TestAllOf:
 
     def test_empty_all_of_is_done(self):
         assert AllOf([]).done
+
+    def test_done_joins_complete_synchronously(self):
+        sim = Simulator()
+        child = Waitable()
+        child.succeed(sim, 1)
+        empty, all_done = AllOf([]), AllOf([child, child])
+        assert (empty.done, empty.value) == (True, [])
+        assert (all_done.done, all_done.value) == (True, [1, 1])
+        assert sim.pending_events == 0
+
+    def test_countdown_schedules_no_event_of_its_own(self):
+        sim = Simulator()
+        inner, other = [Waitable(), Waitable()], Waitable()
+        outer = AllOf([AllOf(inner), other])
+        log = []
+
+        def waiter():
+            log.append((yield outer))
+
+        sim.process(waiter())
+        sim.schedule(1.0, lambda s: inner[0].succeed(s, "a"))
+        sim.schedule(2.0, lambda s: other.succeed(s, "c"))
+        sim.schedule(3.0, lambda s: inner[1].succeed(s, "b"))
+        sim.run()
+        # Start, three completions, one resume: the joins add nothing.
+        assert sim.events_executed == 5
+        assert log == [[["a", "b"], "c"]]
+
+    def test_duplicate_child_counts_twice(self):
+        sim = Simulator()
+        child = Waitable()
+        combined = AllOf([child, child])
+        child.succeed(sim, 4)
+        assert (combined.done, combined.value) == (True, [4, 4])
+
+
+class TestJoin:
+    def test_lone_waitable_is_returned_as_is(self):
+        child = Waitable()
+        assert join([child]) is child
+
+    def test_several_waitables_make_an_all_of(self):
+        children = [Waitable(), Waitable()]
+        assert isinstance(join(children), AllOf)
+
+    def test_empty_join_is_done(self):
+        assert join([]).done
 
     def test_pre_completed_children(self):
         sim = Simulator()

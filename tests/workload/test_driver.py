@@ -139,13 +139,17 @@ class TestDeleteSemantics:
         assert len(population) == 6
 
     def test_churn_timeline_matches_pre_rework_capture(self):
-        """The full churn timeline is bit-identical to the pre-rework code.
+        """The full churn timeline is pinned, sample for sample.
 
-        The digests below were captured from the repo *before* the
-        identity-semantics / positional-pop rework (a TS run with 181
-        deletes): same seed, same audit cadence.  A delete that ever
-        picks a different victim, or any reordering of the event stream,
-        changes every subsequent fingerprint.
+        A TS run with 181 deletes, same seed, same audit cadence.  The
+        digests were first captured *before* the identity-semantics /
+        positional-pop rework, and re-recorded once when joins stopped
+        costing events of their own: that moves event indices and the
+        queued callbacks by construction, while
+        ``tests/sim/test_join_differential.py`` shows every process
+        resumption unchanged.  A delete that ever picks a different
+        victim, or any reordering of the event stream, changes every
+        subsequent fingerprint.
         """
         from repro import AuditConfig, ExperimentConfig, SystemConfig
         from repro.core.configs import RestrictedPolicy
@@ -164,12 +168,12 @@ class TestDeleteSemantics:
         )
         fingerprints = result.fingerprints
         assert result.operation_counts["delete"] == 181
-        assert len(fingerprints) == 14
+        assert len(fingerprints) == 9
         assert fingerprints[0].digest == (
-            "3392eb89e6c2fa92ba1b6560b082b4cc8692ddf30e44b2f96ddb20f5f5319583"
+            "1d0adc1c633f0c25504343b2d9db392abced8ccf5726c5ad3dcd812d01555352"
         )
         assert fingerprints[-1].digest == (
-            "96838e6c97f80d1d9c067be3943ce0a3ec6af97b444c70234afb8dfa984d7ef0"
+            "7ae94bcc12dc9a80d8780b5970d169f1d672877d03a6432175a07ab5d73b2148"
         )
 
 
