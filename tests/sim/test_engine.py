@@ -275,19 +275,6 @@ class TestAllOf:
         child.succeed(sim, 4)
         assert (combined.done, combined.value) == (True, [4, 4])
 
-
-class TestJoin:
-    def test_lone_waitable_is_returned_as_is(self):
-        child = Waitable()
-        assert join([child]) is child
-
-    def test_several_waitables_make_an_all_of(self):
-        children = [Waitable(), Waitable()]
-        assert isinstance(join(children), AllOf)
-
-    def test_empty_join_is_done(self):
-        assert join([]).done
-
     def test_pre_completed_children(self):
         sim = Simulator()
         child = Waitable()
@@ -313,6 +300,19 @@ class TestJoin:
         sim.schedule(1.0, lambda s: pending.succeed(s, "y"))
         sim.run()
         assert log == [["x", "y"]]
+
+
+class TestJoin:
+    def test_lone_waitable_is_returned_as_is(self):
+        child = Waitable()
+        assert join([child]) is child
+
+    def test_several_waitables_make_an_all_of(self):
+        children = [Waitable(), Waitable()]
+        assert isinstance(join(children), AllOf)
+
+    def test_empty_join_is_done(self):
+        assert join([]).done
 
 
 class TestOrderingProperty:
